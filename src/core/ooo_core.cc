@@ -25,9 +25,7 @@ pcKey(uint32_t pc)
 void
 CoreStats::registerIn(StatsRegistry &reg) const
 {
-    reg.addCounter("core.instructions",
-                   "retired instructions in the ROI") += instructions;
-    reg.addCounter("core.cycles", "core cycles in the ROI") += cycles;
+    StatRecord::registerIn(reg);
     reg.addFormula(
         "core.ipc",
         [](const StatsRegistry &r) {
@@ -35,33 +33,6 @@ CoreStats::registerIn(StatsRegistry &reg) const
             return cyc ? r.value("core.instructions") / cyc : 0.0;
         },
         "retired instructions per cycle");
-    reg.addCounter("core.loads", "retired loads") += loads;
-    reg.addCounter("core.stores", "retired stores") += stores;
-    reg.addCounter("core.branches", "retired conditional branches") +=
-        branches;
-    reg.addCounter("core.mispredicts", "mispredicted branches") +=
-        mispredicts;
-    reg.addCounter("core.stall_fetch",
-                   "dispatch-stall cycles from mispredict redirects")
-        += stall_fetch;
-    reg.addCounter("core.stall_iq",
-                   "dispatch-stall cycles from issue-queue occupancy")
-        += stall_iq;
-    reg.addCounter("core.stall_lq",
-                   "dispatch-stall cycles from load-queue occupancy")
-        += stall_lq;
-    reg.addCounter("core.stall_sq",
-                   "dispatch-stall cycles from store-queue occupancy")
-        += stall_sq;
-    reg.addCounter("core.stall_rob",
-                   "dispatch-stall cycles from ROB occupancy") +=
-        rob_stall_cycles;
-    reg.addCounter("core.runahead_triggers",
-                   "full-window stall episodes handed to the engine")
-        += full_rob_stall_events;
-    reg.addCounter("core.runahead_commit_stall",
-                   "commit-stall cycles from VR delayed termination")
-        += runahead_commit_stall;
 
     const CpiStack cs = cpiStack();
     reg.addGauge("cpi.base", "CPI not attributed to any stall source") =
@@ -174,7 +145,6 @@ OooCore::runFrom(CpuState &state, uint64_t max_insts,
     Cycle last_cycle = base;
 
     CoreStats warm;
-    Cycle warm_cycle = base;
 
     // Forward-progress watchdog: how the run looked when the snapshot
     // is taken at expiry. ROB occupancy = entries whose commit is
@@ -208,7 +178,8 @@ OooCore::runFrom(CpuState &state, uint64_t max_insts,
                  progressSnapshot(i, "core.run"));
         if (warmup_insts && i == warmup_insts) {
             warm = st;
-            warm_cycle = last_cycle;
+            warm.instructions = i;
+            warm.cycles = last_cycle - base;
             if (at_warmup)
                 at_warmup();
         }
@@ -524,21 +495,6 @@ OooCore::runFrom(CpuState &state, uint64_t max_insts,
                          rob_occ);
         }
 
-        if (trace_) {
-            TraceRecord tr;
-            tr.index = i;
-            tr.pc = si.pc;
-            tr.inst = &inst;
-            tr.dispatch = dispatch;
-            tr.ready = ready;
-            tr.issue = issue;
-            tr.complete = complete;
-            tr.commit = commit;
-            tr.is_load = si.is_mem && !si.is_store;
-            tr.mispredicted = mispredicted_now;
-            trace_(tr);
-        }
-
         if (++rob_idx == c.rob_size)
             rob_idx = 0;
         if (++cw_idx == c.width)
@@ -549,44 +505,10 @@ OooCore::runFrom(CpuState &state, uint64_t max_insts,
     st.cycles = last_cycle - base;
     clock = last_cycle;
 
-    if (warmup_insts && i > warmup_insts) {
-        // Report the region of interest only; timing state (caches,
-        // predictors, in-flight misses) carried across the boundary.
-        if (cfg_.invariant_checks) {
-            // Counters are monotone, so the warmup snapshot can never
-            // exceed the final value; a violation means the subtraction
-            // below would wrap to a huge bogus statistic.
-            panicIfNot(last_cycle >= warm_cycle &&
-                           st.loads >= warm.loads &&
-                           st.stores >= warm.stores &&
-                           st.branches >= warm.branches &&
-                           st.mispredicts >= warm.mispredicts &&
-                           st.rob_stall_cycles >= warm.rob_stall_cycles &&
-                           st.full_rob_stall_events >=
-                               warm.full_rob_stall_events &&
-                           st.runahead_commit_stall >=
-                               warm.runahead_commit_stall &&
-                           st.stall_fetch >= warm.stall_fetch &&
-                           st.stall_iq >= warm.stall_iq &&
-                           st.stall_lq >= warm.stall_lq &&
-                           st.stall_sq >= warm.stall_sq,
-                       "core stats regressed across the warmup "
-                       "boundary (subtraction would underflow)");
-        }
-        st.instructions = i - warmup_insts;
-        st.cycles = last_cycle - warm_cycle;
-        st.loads -= warm.loads;
-        st.stores -= warm.stores;
-        st.branches -= warm.branches;
-        st.mispredicts -= warm.mispredicts;
-        st.rob_stall_cycles -= warm.rob_stall_cycles;
-        st.full_rob_stall_events -= warm.full_rob_stall_events;
-        st.runahead_commit_stall -= warm.runahead_commit_stall;
-        st.stall_fetch -= warm.stall_fetch;
-        st.stall_iq -= warm.stall_iq;
-        st.stall_lq -= warm.stall_lq;
-        st.stall_sq -= warm.stall_sq;
-    }
+    // Report the region of interest only; timing state (caches,
+    // predictors, in-flight misses) carried across the boundary.
+    if (warmup_insts && i > warmup_insts)
+        return st.since(warm, cfg_.invariant_checks);
     return st;
 }
 

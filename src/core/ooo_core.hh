@@ -23,16 +23,19 @@
 #include "mem/cache.hh"
 #include "isa/interp.hh"
 #include "mem/hierarchy.hh"
+#include "obs/stat_table.hh"
 #include "sim/config.hh"
 #include "sim/digest.hh"
 
 namespace vrsim
 {
 
-class StatsRegistry;
-
-/** Timing results of one core run. */
-struct CoreStats
+/**
+ * Timing results of one core run (descriptions in `fields`). The
+ * stall_* counters attribute dispatch stalls: the cycles each
+ * constraint pushed the dispatch point beyond all previous ones.
+ */
+struct CoreStats : StatRecord<CoreStats>
 {
     uint64_t instructions = 0;
     uint64_t cycles = 0;
@@ -40,19 +43,54 @@ struct CoreStats
     uint64_t stores = 0;
     uint64_t branches = 0;
     uint64_t mispredicts = 0;
-    uint64_t rob_stall_cycles = 0;      //!< dispatch blocked, ROB full
-    uint64_t full_rob_stall_events = 0; //!< runahead trigger episodes
-    uint64_t runahead_commit_stall = 0; //!< VR delayed-termination cycles
-    uint64_t btb_misses = 0;            //!< taken branches without a
-                                        //!< BTB entry (decode redirect)
-    uint64_t icache_misses = 0;         //!< L1I line misses
+    uint64_t rob_stall_cycles = 0;
+    uint64_t full_rob_stall_events = 0;
+    uint64_t runahead_commit_stall = 0;
+    uint64_t btb_misses = 0;
+    uint64_t icache_misses = 0;
+    uint64_t stall_fetch = 0;
+    uint64_t stall_iq = 0;
+    uint64_t stall_lq = 0;
+    uint64_t stall_sq = 0;
 
-    // Dispatch-stall attribution: cycles each constraint pushed the
-    // dispatch point beyond all previous constraints.
-    uint64_t stall_fetch = 0;           //!< mispredict redirects
-    uint64_t stall_iq = 0;              //!< issue-queue occupancy
-    uint64_t stall_lq = 0;              //!< load-queue occupancy
-    uint64_t stall_sq = 0;              //!< store-queue occupancy
+    static constexpr std::tuple fields{
+        stat("instructions", "core.instructions",
+             "retired instructions in the ROI", &CoreStats::instructions),
+        stat("cycles", "core.cycles", "core cycles in the ROI",
+             &CoreStats::cycles),
+        stat("loads", "core.loads", "retired loads", &CoreStats::loads),
+        stat("stores", "core.stores", "retired stores", &CoreStats::stores),
+        stat("branches", "core.branches", "retired conditional branches",
+             &CoreStats::branches),
+        stat("mispredicts", "core.mispredicts", "mispredicted branches",
+             &CoreStats::mispredicts),
+        stat("rob_stall_cycles", "core.stall_rob",
+             "dispatch-stall cycles from ROB occupancy",
+             &CoreStats::rob_stall_cycles),
+        stat("full_rob_stall_events", "core.runahead_triggers",
+             "full-window stall episodes handed to the engine",
+             &CoreStats::full_rob_stall_events),
+        stat("runahead_commit_stall", "core.runahead_commit_stall",
+             "commit-stall cycles from VR delayed termination",
+             &CoreStats::runahead_commit_stall),
+        stat("btb_misses", nullptr,
+             "taken branches without a BTB entry (decode redirect)",
+             &CoreStats::btb_misses),
+        stat("icache_misses", nullptr, "L1I line misses",
+             &CoreStats::icache_misses),
+        stat("stall_fetch", "core.stall_fetch",
+             "dispatch-stall cycles from mispredict redirects",
+             &CoreStats::stall_fetch),
+        stat("stall_iq", "core.stall_iq",
+             "dispatch-stall cycles from issue-queue occupancy",
+             &CoreStats::stall_iq),
+        stat("stall_lq", "core.stall_lq",
+             "dispatch-stall cycles from load-queue occupancy",
+             &CoreStats::stall_lq),
+        stat("stall_sq", "core.stall_sq",
+             "dispatch-stall cycles from store-queue occupancy",
+             &CoreStats::stall_sq),
+    };
 
     double ipc() const
     { return cycles ? double(instructions) / double(cycles) : 0.0; }
@@ -107,21 +145,7 @@ struct CoreStats
      */
     void registerIn(StatsRegistry &reg) const;
 };
-
-/** One traced instruction's pipeline timestamps. */
-struct TraceRecord
-{
-    uint64_t index = 0;      //!< dynamic instruction number
-    uint32_t pc = 0;
-    const Inst *inst = nullptr;
-    Cycle dispatch = 0;
-    Cycle ready = 0;         //!< operands available
-    Cycle issue = 0;
-    Cycle complete = 0;
-    Cycle commit = 0;
-    bool is_load = false;
-    bool mispredicted = false;
-};
+static_assert(statTableBytes<CoreStats>() == sizeof(CoreStats));
 
 /** The out-of-order core. */
 class OooCore
@@ -215,10 +239,6 @@ class OooCore
     const BranchPredictor &branchPredictor() const { return bp_; }
     const Btb &btb() const { return btb_; }
 
-    /** Install a per-instruction pipeline-trace callback. */
-    void setTrace(std::function<void(const TraceRecord &)> sink)
-    { trace_ = std::move(sink); }
-
     /**
      * Attach a differential-oracle digest (sim/digest.hh): the commit
      * path feeds it every retired instruction's architectural effects,
@@ -298,7 +318,6 @@ class OooCore
     BranchPredictor bp_;
     Btb btb_;
     CacheArray l1i_;
-    std::function<void(const TraceRecord &)> trace_;
     StateDigest *digest_ = nullptr;
     TraceSink *tsink_ = nullptr;
 

@@ -3,6 +3,7 @@
 #include <iomanip>
 
 #include "obs/self_profile.hh"
+#include "sim/parse.hh"
 
 namespace vrsim
 {
@@ -21,23 +22,8 @@ buildRegistry(const SimResult &r)
         r.vr->registerIn(reg);
     if (r.dvr)
         r.dvr->registerIn(reg);
-    if (r.sample) {
-        reg.addCounter("sample.intervals",
-                       "completed detailed-measure windows") +=
-            r.sample->intervals;
-        reg.addCounter("sample.ff_insts",
-                       "functionally fast-forwarded instructions") +=
-            r.sample->ff_insts;
-        reg.addCounter("sample.warm_insts",
-                       "detailed-warm instructions excluded from "
-                       "statistics") += r.sample->warm_insts;
-        reg.addSample("sample.cpi",
-                      "per-interval CPI of the detailed-measure "
-                      "windows (mean, stddev, 95% CI); sampled IPC "
-                      "is 1/mean")
-            .setMoments(r.sample->cpi_sum, r.sample->cpi_sumsq,
-                        r.sample->intervals);
-    }
+    if (r.sample)
+        r.sample->registerIn(reg);
     // Host-side timing is wall-clock and therefore nondeterministic;
     // it only enters reports when profiling columns are opted into
     // (--profile / VRSIM_PROFILE), keeping default output
@@ -229,32 +215,6 @@ CsvWriter::emit(const SimResult &r, const std::string *point_id)
 
 namespace
 {
-
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 jsonObject(std::ostream &os, const SimResult &r, const char *indent)

@@ -82,209 +82,217 @@ hexFromJson(const JsonValue &v)
     return x;
 }
 
-// ---- statistics blocks ----
+// ---- record blocks: one key table per serialized struct ----
+
+/** A JSON key and the member it serializes. */
+template <class T, class M>
+struct Key
+{
+    const char *key;
+    M T::*member;
+};
+
+/** The key table of each struct serialized member by member. */
+template <class T>
+constexpr const auto &
+keysOf(const T &)
+    requires requires { T::fields; }
+{
+    return T::fields;  // statistics records (obs/stat_table.hh)
+}
+
+// Configuration blocks are keyed by their member names, so a key
+// cannot drift from the member it names.
+#define VRSIM_KEY(T, m) Key{#m, &T::m}
+
+constexpr std::tuple CACHE_KEYS{
+    VRSIM_KEY(CacheConfig, size_bytes), VRSIM_KEY(CacheConfig, assoc),
+    VRSIM_KEY(CacheConfig, line_bytes), VRSIM_KEY(CacheConfig, latency),
+    VRSIM_KEY(CacheConfig, mshrs), VRSIM_KEY(CacheConfig, ports),
+    VRSIM_KEY(CacheConfig, repl),
+};
+
+constexpr std::tuple CORE_KEYS{
+    VRSIM_KEY(CoreConfig, width), VRSIM_KEY(CoreConfig, rob_size),
+    VRSIM_KEY(CoreConfig, issue_queue), VRSIM_KEY(CoreConfig, load_queue),
+    VRSIM_KEY(CoreConfig, store_queue), VRSIM_KEY(CoreConfig, frontend_stages),
+    VRSIM_KEY(CoreConfig, int_add_units), VRSIM_KEY(CoreConfig, int_add_lat),
+    VRSIM_KEY(CoreConfig, int_mul_units), VRSIM_KEY(CoreConfig, int_mul_lat),
+    VRSIM_KEY(CoreConfig, int_div_units), VRSIM_KEY(CoreConfig, int_div_lat),
+    VRSIM_KEY(CoreConfig, fp_add_units), VRSIM_KEY(CoreConfig, fp_add_lat),
+    VRSIM_KEY(CoreConfig, fp_mul_units), VRSIM_KEY(CoreConfig, fp_mul_lat),
+    VRSIM_KEY(CoreConfig, fp_div_units), VRSIM_KEY(CoreConfig, fp_div_lat),
+    VRSIM_KEY(CoreConfig, load_ports), VRSIM_KEY(CoreConfig, store_ports),
+    VRSIM_KEY(CoreConfig, int_phys_regs), VRSIM_KEY(CoreConfig, vec_phys_regs),
+};
+
+constexpr std::tuple DRAM_KEYS{
+    VRSIM_KEY(DramConfig, latency), VRSIM_KEY(DramConfig, bytes_per_cycle),
+    VRSIM_KEY(DramConfig, channels),
+};
+
+constexpr std::tuple STRIDE_PF_KEYS{
+    VRSIM_KEY(StridePrefetcherConfig, enabled),
+    VRSIM_KEY(StridePrefetcherConfig, streams),
+    VRSIM_KEY(StridePrefetcherConfig, degree),
+    VRSIM_KEY(StridePrefetcherConfig, train_threshold),
+};
+
+constexpr std::tuple IMP_KEYS{
+    VRSIM_KEY(ImpConfig, table_entries),
+    VRSIM_KEY(ImpConfig, prefetch_distance),
+    VRSIM_KEY(ImpConfig, train_threshold),
+};
+
+constexpr std::tuple RUNAHEAD_KEYS{
+    VRSIM_KEY(RunaheadConfig, stride_entries),
+    VRSIM_KEY(RunaheadConfig, stride_confidence),
+    VRSIM_KEY(RunaheadConfig, vector_regs),
+    VRSIM_KEY(RunaheadConfig, lanes_per_vector),
+    VRSIM_KEY(RunaheadConfig, discovery_max_insts),
+    VRSIM_KEY(RunaheadConfig, subthread_timeout),
+    VRSIM_KEY(RunaheadConfig, nested_trigger_lanes),
+    VRSIM_KEY(RunaheadConfig, reconv_stack_entries),
+    VRSIM_KEY(RunaheadConfig, frontend_buffer_uops),
+    VRSIM_KEY(RunaheadConfig, pre_chain_cap),
+    VRSIM_KEY(RunaheadConfig, max_budget_bytes),
+};
+
+constexpr std::tuple CONFIG_KEYS{
+    VRSIM_KEY(SystemConfig, core), VRSIM_KEY(SystemConfig, l1i),
+    VRSIM_KEY(SystemConfig, l1d), VRSIM_KEY(SystemConfig, l2),
+    VRSIM_KEY(SystemConfig, l3), VRSIM_KEY(SystemConfig, dram),
+    VRSIM_KEY(SystemConfig, stride_pf), VRSIM_KEY(SystemConfig, imp),
+    VRSIM_KEY(SystemConfig, runahead), VRSIM_KEY(SystemConfig, technique),
+    VRSIM_KEY(SystemConfig, max_insts),
+    VRSIM_KEY(SystemConfig, watchdog_cycles),
+    VRSIM_KEY(SystemConfig, invariant_checks),
+    VRSIM_KEY(SystemConfig, collect_digest),
+    VRSIM_KEY(SystemConfig, digest_interval),
+};
+
+constexpr std::tuple FEATURE_KEYS{
+    VRSIM_KEY(DvrFeatures, discovery), VRSIM_KEY(DvrFeatures, nested),
+    VRSIM_KEY(DvrFeatures, reconverge),
+};
+
+constexpr std::tuple GSCALE_KEYS{
+    VRSIM_KEY(GraphScale, nodes), VRSIM_KEY(GraphScale, avg_degree),
+    VRSIM_KEY(GraphScale, seed),
+};
+
+constexpr std::tuple HSCALE_KEYS{
+    VRSIM_KEY(HpcDbScale, elements), VRSIM_KEY(HpcDbScale, seed),
+};
+
+constexpr std::tuple SAMPLING_KEYS{
+    VRSIM_KEY(SamplingPlan, ff_insts), VRSIM_KEY(SamplingPlan, period),
+    VRSIM_KEY(SamplingPlan, detail), VRSIM_KEY(SamplingPlan, warm),
+};
+
+#undef VRSIM_KEY
+
+constexpr const auto &keysOf(const CacheConfig &) { return CACHE_KEYS; }
+constexpr const auto &keysOf(const CoreConfig &) { return CORE_KEYS; }
+constexpr const auto &keysOf(const DramConfig &) { return DRAM_KEYS; }
+
+constexpr const auto &
+keysOf(const StridePrefetcherConfig &)
+{
+    return STRIDE_PF_KEYS;
+}
+
+constexpr const auto &keysOf(const ImpConfig &) { return IMP_KEYS; }
+constexpr const auto &keysOf(const RunaheadConfig &) { return RUNAHEAD_KEYS; }
+constexpr const auto &keysOf(const SystemConfig &) { return CONFIG_KEYS; }
+constexpr const auto &keysOf(const DvrFeatures &) { return FEATURE_KEYS; }
+constexpr const auto &keysOf(const GraphScale &) { return GSCALE_KEYS; }
+constexpr const auto &keysOf(const HpcDbScale &) { return HSCALE_KEYS; }
+constexpr const auto &keysOf(const SamplingPlan &) { return SAMPLING_KEYS; }
+
+std::string jsonOf(uint64_t v) { return u64(v); }
+std::string jsonOf(uint32_t v) { return u64(v); }
+std::string jsonOf(double v) { return f64(v); }
+std::string jsonOf(bool v) { return boolean(v); }
+std::string jsonOf(ReplPolicy v) { return u64(uint64_t(v)); }
+std::string jsonOf(Technique v) { return str(techniqueName(v)); }
 
 std::string
-coreStatsToJson(const CoreStats &c)
+jsonOf(const StatVec &v)
 {
-    return Obj{}
-        .field("instructions", u64(c.instructions))
-        .field("cycles", u64(c.cycles))
-        .field("loads", u64(c.loads))
-        .field("stores", u64(c.stores))
-        .field("branches", u64(c.branches))
-        .field("mispredicts", u64(c.mispredicts))
-        .field("rob_stall_cycles", u64(c.rob_stall_cycles))
-        .field("full_rob_stall_events", u64(c.full_rob_stall_events))
-        .field("runahead_commit_stall", u64(c.runahead_commit_stall))
-        .field("btb_misses", u64(c.btb_misses))
-        .field("icache_misses", u64(c.icache_misses))
-        .field("stall_fetch", u64(c.stall_fetch))
-        .field("stall_iq", u64(c.stall_iq))
-        .field("stall_lq", u64(c.stall_lq))
-        .field("stall_sq", u64(c.stall_sq))
-        .done();
+    std::string arr;
+    for (uint64_t x : v)
+        arr += (arr.empty() ? "[" : ",") + u64(x);
+    return arr + "]";
 }
 
-CoreStats
-coreStatsFromJson(const JsonValue &v)
+/** A struct with a key table: one field per row, in table order. */
+template <class T>
+auto
+jsonOf(const T &t) -> decltype(keysOf(t), std::string())
 {
-    CoreStats c;
-    c.instructions = v.at("instructions").asU64();
-    c.cycles = v.at("cycles").asU64();
-    c.loads = v.at("loads").asU64();
-    c.stores = v.at("stores").asU64();
-    c.branches = v.at("branches").asU64();
-    c.mispredicts = v.at("mispredicts").asU64();
-    c.rob_stall_cycles = v.at("rob_stall_cycles").asU64();
-    c.full_rob_stall_events = v.at("full_rob_stall_events").asU64();
-    c.runahead_commit_stall = v.at("runahead_commit_stall").asU64();
-    c.btb_misses = v.at("btb_misses").asU64();
-    c.icache_misses = v.at("icache_misses").asU64();
-    c.stall_fetch = v.at("stall_fetch").asU64();
-    c.stall_iq = v.at("stall_iq").asU64();
-    c.stall_lq = v.at("stall_lq").asU64();
-    c.stall_sq = v.at("stall_sq").asU64();
-    return c;
+    Obj o;
+    std::apply(
+        [&](const auto &...k) { (o.field(k.key, jsonOf(t.*k.member)), ...); },
+        keysOf(t));
+    return o.done();
 }
 
-std::string
-memStatsToJson(const MemStats &m)
+void read(const JsonValue &v, const char *, uint64_t &x) { x = v.asU64(); }
+void read(const JsonValue &v, const char *, double &x) { x = v.asF64(); }
+void read(const JsonValue &v, const char *, bool &x) { x = v.asBool(); }
+
+void
+read(const JsonValue &v, const char *, uint32_t &x)
 {
-    std::string dram = "[";
-    for (size_t i = 0; i < m.dram_by_requester.size(); i++) {
-        if (i)
-            dram += ",";
-        dram += u64(m.dram_by_requester[i]);
-    }
-    dram += "]";
-    return Obj{}
-        .field("demand_accesses", u64(m.demand_accesses))
-        .field("demand_l1_hits", u64(m.demand_l1_hits))
-        .field("demand_l2_hits", u64(m.demand_l2_hits))
-        .field("demand_l3_hits", u64(m.demand_l3_hits))
-        .field("demand_mem", u64(m.demand_mem))
-        .field("demand_latency_sum", u64(m.demand_latency_sum))
-        .field("dram_by_requester", dram)
-        .field("pf_lines_filled", u64(m.pf_lines_filled))
-        .field("pf_used_l1", u64(m.pf_used_l1))
-        .field("pf_used_l2", u64(m.pf_used_l2))
-        .field("pf_used_l3", u64(m.pf_used_l3))
-        .field("pf_used_inflight", u64(m.pf_used_inflight))
-        .done();
+    x = uint32_t(v.asU64());
 }
 
-MemStats
-memStatsFromJson(const JsonValue &v)
+void
+read(const JsonValue &v, const char *, ReplPolicy &x)
 {
-    MemStats m;
-    m.demand_accesses = v.at("demand_accesses").asU64();
-    m.demand_l1_hits = v.at("demand_l1_hits").asU64();
-    m.demand_l2_hits = v.at("demand_l2_hits").asU64();
-    m.demand_l3_hits = v.at("demand_l3_hits").asU64();
-    m.demand_mem = v.at("demand_mem").asU64();
-    m.demand_latency_sum = v.at("demand_latency_sum").asU64();
-    const auto &dram = v.at("dram_by_requester").asArray();
-    if (dram.size() != m.dram_by_requester.size())
-        fatal("dram_by_requester has " + std::to_string(dram.size()) +
-              " entries, expected " +
-              std::to_string(m.dram_by_requester.size()));
-    for (size_t i = 0; i < dram.size(); i++)
-        m.dram_by_requester[i] = dram[i].asU64();
-    m.pf_lines_filled = v.at("pf_lines_filled").asU64();
-    m.pf_used_l1 = v.at("pf_used_l1").asU64();
-    m.pf_used_l2 = v.at("pf_used_l2").asU64();
-    m.pf_used_l3 = v.at("pf_used_l3").asU64();
-    m.pf_used_inflight = v.at("pf_used_inflight").asU64();
-    return m;
+    uint64_t repl = v.asU64();
+    if (repl > uint64_t(ReplPolicy::Random))
+        fatal("bad replacement-policy code " + std::to_string(repl));
+    x = ReplPolicy(repl);
 }
 
-std::string
-preStatsToJson(const PreStats &p)
+void
+read(const JsonValue &v, const char *, Technique &x)
 {
-    return Obj{}
-        .field("intervals", u64(p.intervals))
-        .field("insts_examined", u64(p.insts_examined))
-        .field("prefetches", u64(p.prefetches))
-        .field("skipped_dependent", u64(p.skipped_dependent))
-        .done();
+    x = techniqueFromName(v.asString());
 }
 
-PreStats
-preStatsFromJson(const JsonValue &v)
+void
+read(const JsonValue &v, const char *key, StatVec &x)
 {
-    PreStats p;
-    p.intervals = v.at("intervals").asU64();
-    p.insts_examined = v.at("insts_examined").asU64();
-    p.prefetches = v.at("prefetches").asU64();
-    p.skipped_dependent = v.at("skipped_dependent").asU64();
-    return p;
+    const auto &arr = v.asArray();
+    if (arr.size() != x.size())
+        fatal(std::string(key) + " has " + std::to_string(arr.size()) +
+              " entries, expected " + std::to_string(x.size()));
+    for (size_t i = 0; i < x.size(); i++)
+        x[i] = arr[i].asU64();
 }
 
-std::string
-vrStatsToJson(const VrStats &s)
+template <class T>
+auto
+read(const JsonValue &v, const char *, T &t) -> decltype(keysOf(t), void())
 {
-    return Obj{}
-        .field("triggers", u64(s.triggers))
-        .field("vectorizations", u64(s.vectorizations))
-        .field("lanes_spawned", u64(s.lanes_spawned))
-        .field("prefetches", u64(s.prefetches))
-        .field("lanes_invalidated", u64(s.lanes_invalidated))
-        .field("delayed_term_cycles", u64(s.delayed_term_cycles))
-        .done();
+    std::apply(
+        [&](const auto &...k) {
+            (read(v.at(k.key), k.key, t.*k.member), ...);
+        },
+        keysOf(t));
 }
 
-VrStats
-vrStatsFromJson(const JsonValue &v)
+/** Parse a struct with a key table; fatal() on any missing key. */
+template <class T>
+T
+fromJson(const JsonValue &v)
 {
-    VrStats s;
-    s.triggers = v.at("triggers").asU64();
-    s.vectorizations = v.at("vectorizations").asU64();
-    s.lanes_spawned = v.at("lanes_spawned").asU64();
-    s.prefetches = v.at("prefetches").asU64();
-    s.lanes_invalidated = v.at("lanes_invalidated").asU64();
-    s.delayed_term_cycles = v.at("delayed_term_cycles").asU64();
-    return s;
-}
-
-std::string
-dvrStatsToJson(const DvrStats &s)
-{
-    return Obj{}
-        .field("discoveries", u64(s.discoveries))
-        .field("discovery_aborts", u64(s.discovery_aborts))
-        .field("innermost_switches", u64(s.innermost_switches))
-        .field("spawns", u64(s.spawns))
-        .field("nested_spawns", u64(s.nested_spawns))
-        .field("ndm_fallbacks", u64(s.ndm_fallbacks))
-        .field("lanes_spawned", u64(s.lanes_spawned))
-        .field("prefetches", u64(s.prefetches))
-        .field("divergences", u64(s.divergences))
-        .field("bound_limited", u64(s.bound_limited))
-        .field("dedupe_skips", u64(s.dedupe_skips))
-        .done();
-}
-
-DvrStats
-dvrStatsFromJson(const JsonValue &v)
-{
-    DvrStats s;
-    s.discoveries = v.at("discoveries").asU64();
-    s.discovery_aborts = v.at("discovery_aborts").asU64();
-    s.innermost_switches = v.at("innermost_switches").asU64();
-    s.spawns = v.at("spawns").asU64();
-    s.nested_spawns = v.at("nested_spawns").asU64();
-    s.ndm_fallbacks = v.at("ndm_fallbacks").asU64();
-    s.lanes_spawned = v.at("lanes_spawned").asU64();
-    s.prefetches = v.at("prefetches").asU64();
-    s.divergences = v.at("divergences").asU64();
-    s.bound_limited = v.at("bound_limited").asU64();
-    s.dedupe_skips = v.at("dedupe_skips").asU64();
-    return s;
-}
-
-std::string
-sampleToJson(const SampleSummary &s)
-{
-    return Obj{}
-        .field("intervals", u64(s.intervals))
-        .field("ff_insts", u64(s.ff_insts))
-        .field("warm_insts", u64(s.warm_insts))
-        .field("cpi_sum", f64(s.cpi_sum))
-        .field("cpi_sumsq", f64(s.cpi_sumsq))
-        .done();
-}
-
-SampleSummary
-sampleFromJson(const JsonValue &v)
-{
-    SampleSummary s;
-    s.intervals = v.at("intervals").asU64();
-    s.ff_insts = v.at("ff_insts").asU64();
-    s.warm_insts = v.at("warm_insts").asU64();
-    s.cpi_sum = v.at("cpi_sum").asF64();
-    s.cpi_sumsq = v.at("cpi_sumsq").asF64();
-    return s;
+    T t;
+    read(v, "", t);
+    return t;
 }
 
 std::string
@@ -341,191 +349,6 @@ divergenceFromJson(const JsonValue &v)
     return d;
 }
 
-// ---- configuration blocks ----
-
-std::string
-cacheToJson(const CacheConfig &c)
-{
-    return Obj{}
-        .field("size_bytes", u64(c.size_bytes))
-        .field("assoc", u64(c.assoc))
-        .field("line_bytes", u64(c.line_bytes))
-        .field("latency", u64(c.latency))
-        .field("mshrs", u64(c.mshrs))
-        .field("ports", u64(c.ports))
-        .field("repl", u64(uint64_t(c.repl)))
-        .done();
-}
-
-CacheConfig
-cacheFromJson(const JsonValue &v)
-{
-    CacheConfig c;
-    c.size_bytes = uint32_t(v.at("size_bytes").asU64());
-    c.assoc = uint32_t(v.at("assoc").asU64());
-    c.line_bytes = uint32_t(v.at("line_bytes").asU64());
-    c.latency = uint32_t(v.at("latency").asU64());
-    c.mshrs = uint32_t(v.at("mshrs").asU64());
-    c.ports = uint32_t(v.at("ports").asU64());
-    uint64_t repl = v.at("repl").asU64();
-    if (repl > uint64_t(ReplPolicy::Random))
-        fatal("bad replacement-policy code " + std::to_string(repl));
-    c.repl = ReplPolicy(repl);
-    return c;
-}
-
-std::string
-configToJson(const SystemConfig &cfg)
-{
-    const CoreConfig &c = cfg.core;
-    std::string core = Obj{}
-        .field("width", u64(c.width))
-        .field("rob_size", u64(c.rob_size))
-        .field("issue_queue", u64(c.issue_queue))
-        .field("load_queue", u64(c.load_queue))
-        .field("store_queue", u64(c.store_queue))
-        .field("frontend_stages", u64(c.frontend_stages))
-        .field("int_add_units", u64(c.int_add_units))
-        .field("int_add_lat", u64(c.int_add_lat))
-        .field("int_mul_units", u64(c.int_mul_units))
-        .field("int_mul_lat", u64(c.int_mul_lat))
-        .field("int_div_units", u64(c.int_div_units))
-        .field("int_div_lat", u64(c.int_div_lat))
-        .field("fp_add_units", u64(c.fp_add_units))
-        .field("fp_add_lat", u64(c.fp_add_lat))
-        .field("fp_mul_units", u64(c.fp_mul_units))
-        .field("fp_mul_lat", u64(c.fp_mul_lat))
-        .field("fp_div_units", u64(c.fp_div_units))
-        .field("fp_div_lat", u64(c.fp_div_lat))
-        .field("load_ports", u64(c.load_ports))
-        .field("store_ports", u64(c.store_ports))
-        .field("int_phys_regs", u64(c.int_phys_regs))
-        .field("vec_phys_regs", u64(c.vec_phys_regs))
-        .done();
-    const RunaheadConfig &r = cfg.runahead;
-    std::string runahead = Obj{}
-        .field("stride_entries", u64(r.stride_entries))
-        .field("stride_confidence", u64(r.stride_confidence))
-        .field("vector_regs", u64(r.vector_regs))
-        .field("lanes_per_vector", u64(r.lanes_per_vector))
-        .field("discovery_max_insts", u64(r.discovery_max_insts))
-        .field("subthread_timeout", u64(r.subthread_timeout))
-        .field("nested_trigger_lanes", u64(r.nested_trigger_lanes))
-        .field("reconv_stack_entries", u64(r.reconv_stack_entries))
-        .field("frontend_buffer_uops", u64(r.frontend_buffer_uops))
-        .field("pre_chain_cap", u64(r.pre_chain_cap))
-        .field("max_budget_bytes", u64(r.max_budget_bytes))
-        .done();
-    return Obj{}
-        .field("core", core)
-        .field("l1i", cacheToJson(cfg.l1i))
-        .field("l1d", cacheToJson(cfg.l1d))
-        .field("l2", cacheToJson(cfg.l2))
-        .field("l3", cacheToJson(cfg.l3))
-        .field("dram", Obj{}
-            .field("latency", u64(cfg.dram.latency))
-            .field("bytes_per_cycle", f64(cfg.dram.bytes_per_cycle))
-            .field("channels", u64(cfg.dram.channels))
-            .done())
-        .field("stride_pf", Obj{}
-            .field("enabled", boolean(cfg.stride_pf.enabled))
-            .field("streams", u64(cfg.stride_pf.streams))
-            .field("degree", u64(cfg.stride_pf.degree))
-            .field("train_threshold", u64(cfg.stride_pf.train_threshold))
-            .done())
-        .field("imp", Obj{}
-            .field("table_entries", u64(cfg.imp.table_entries))
-            .field("prefetch_distance", u64(cfg.imp.prefetch_distance))
-            .field("train_threshold", u64(cfg.imp.train_threshold))
-            .done())
-        .field("runahead", runahead)
-        .field("technique", str(techniqueName(cfg.technique)))
-        .field("max_insts", u64(cfg.max_insts))
-        .field("watchdog_cycles", u64(cfg.watchdog_cycles))
-        .field("invariant_checks", boolean(cfg.invariant_checks))
-        .field("collect_digest", boolean(cfg.collect_digest))
-        .field("digest_interval", u64(cfg.digest_interval))
-        .done();
-}
-
-SystemConfig
-configFromJson(const JsonValue &v)
-{
-    SystemConfig cfg;
-    const JsonValue &c = v.at("core");
-    cfg.core.width = uint32_t(c.at("width").asU64());
-    cfg.core.rob_size = uint32_t(c.at("rob_size").asU64());
-    cfg.core.issue_queue = uint32_t(c.at("issue_queue").asU64());
-    cfg.core.load_queue = uint32_t(c.at("load_queue").asU64());
-    cfg.core.store_queue = uint32_t(c.at("store_queue").asU64());
-    cfg.core.frontend_stages =
-        uint32_t(c.at("frontend_stages").asU64());
-    cfg.core.int_add_units = uint32_t(c.at("int_add_units").asU64());
-    cfg.core.int_add_lat = uint32_t(c.at("int_add_lat").asU64());
-    cfg.core.int_mul_units = uint32_t(c.at("int_mul_units").asU64());
-    cfg.core.int_mul_lat = uint32_t(c.at("int_mul_lat").asU64());
-    cfg.core.int_div_units = uint32_t(c.at("int_div_units").asU64());
-    cfg.core.int_div_lat = uint32_t(c.at("int_div_lat").asU64());
-    cfg.core.fp_add_units = uint32_t(c.at("fp_add_units").asU64());
-    cfg.core.fp_add_lat = uint32_t(c.at("fp_add_lat").asU64());
-    cfg.core.fp_mul_units = uint32_t(c.at("fp_mul_units").asU64());
-    cfg.core.fp_mul_lat = uint32_t(c.at("fp_mul_lat").asU64());
-    cfg.core.fp_div_units = uint32_t(c.at("fp_div_units").asU64());
-    cfg.core.fp_div_lat = uint32_t(c.at("fp_div_lat").asU64());
-    cfg.core.load_ports = uint32_t(c.at("load_ports").asU64());
-    cfg.core.store_ports = uint32_t(c.at("store_ports").asU64());
-    cfg.core.int_phys_regs = uint32_t(c.at("int_phys_regs").asU64());
-    cfg.core.vec_phys_regs = uint32_t(c.at("vec_phys_regs").asU64());
-    cfg.l1i = cacheFromJson(v.at("l1i"));
-    cfg.l1d = cacheFromJson(v.at("l1d"));
-    cfg.l2 = cacheFromJson(v.at("l2"));
-    cfg.l3 = cacheFromJson(v.at("l3"));
-    const JsonValue &d = v.at("dram");
-    cfg.dram.latency = uint32_t(d.at("latency").asU64());
-    cfg.dram.bytes_per_cycle = d.at("bytes_per_cycle").asF64();
-    cfg.dram.channels = uint32_t(d.at("channels").asU64());
-    const JsonValue &s = v.at("stride_pf");
-    cfg.stride_pf.enabled = s.at("enabled").asBool();
-    cfg.stride_pf.streams = uint32_t(s.at("streams").asU64());
-    cfg.stride_pf.degree = uint32_t(s.at("degree").asU64());
-    cfg.stride_pf.train_threshold =
-        uint32_t(s.at("train_threshold").asU64());
-    const JsonValue &i = v.at("imp");
-    cfg.imp.table_entries = uint32_t(i.at("table_entries").asU64());
-    cfg.imp.prefetch_distance =
-        uint32_t(i.at("prefetch_distance").asU64());
-    cfg.imp.train_threshold =
-        uint32_t(i.at("train_threshold").asU64());
-    const JsonValue &r = v.at("runahead");
-    cfg.runahead.stride_entries =
-        uint32_t(r.at("stride_entries").asU64());
-    cfg.runahead.stride_confidence =
-        uint32_t(r.at("stride_confidence").asU64());
-    cfg.runahead.vector_regs = uint32_t(r.at("vector_regs").asU64());
-    cfg.runahead.lanes_per_vector =
-        uint32_t(r.at("lanes_per_vector").asU64());
-    cfg.runahead.discovery_max_insts =
-        uint32_t(r.at("discovery_max_insts").asU64());
-    cfg.runahead.subthread_timeout =
-        uint32_t(r.at("subthread_timeout").asU64());
-    cfg.runahead.nested_trigger_lanes =
-        uint32_t(r.at("nested_trigger_lanes").asU64());
-    cfg.runahead.reconv_stack_entries =
-        uint32_t(r.at("reconv_stack_entries").asU64());
-    cfg.runahead.frontend_buffer_uops =
-        uint32_t(r.at("frontend_buffer_uops").asU64());
-    cfg.runahead.pre_chain_cap =
-        uint32_t(r.at("pre_chain_cap").asU64());
-    cfg.runahead.max_budget_bytes = r.at("max_budget_bytes").asU64();
-    cfg.technique = techniqueFromName(v.at("technique").asString());
-    cfg.max_insts = v.at("max_insts").asU64();
-    cfg.watchdog_cycles = v.at("watchdog_cycles").asU64();
-    cfg.invariant_checks = v.at("invariant_checks").asBool();
-    cfg.collect_digest = v.at("collect_digest").asBool();
-    cfg.digest_interval = v.at("digest_interval").asU64();
-    return cfg;
-}
-
 std::string
 resultToJsonBody(const SimResult &r)
 {
@@ -534,8 +357,8 @@ resultToJsonBody(const SimResult &r)
         .field("technique", str(techniqueName(r.technique)))
         .field("status", str(simStatusName(r.status)))
         .field("status_message", str(r.status_message))
-        .field("core", coreStatsToJson(r.core))
-        .field("mem", memStatsToJson(r.mem))
+        .field("core", jsonOf(r.core))
+        .field("mem", jsonOf(r.mem))
         .field("mlp", f64(r.mlp));
     // Process-isolation fields: written only when set so journals and
     // bundles from thread-mode sweeps stay byte-identical to before.
@@ -544,17 +367,17 @@ resultToJsonBody(const SimResult &r)
     if (r.rss_peak_kb)
         o.field("rss_peak_kb", u64(r.rss_peak_kb));
     if (r.pre)
-        o.field("pre", preStatsToJson(*r.pre));
+        o.field("pre", jsonOf(*r.pre));
     if (r.vr)
-        o.field("vr", vrStatsToJson(*r.vr));
+        o.field("vr", jsonOf(*r.vr));
     if (r.dvr)
-        o.field("dvr", dvrStatsToJson(*r.dvr));
+        o.field("dvr", jsonOf(*r.dvr));
     if (r.digest)
         o.field("digest", digestToJson(*r.digest));
     // Sampled runs only (only-when-set keeps pre-sampling journals
     // and bundles byte-identical).
     if (r.sample)
-        o.field("sample", sampleToJson(*r.sample));
+        o.field("sample", jsonOf(*r.sample));
     return o.done();
 }
 
@@ -566,23 +389,23 @@ resultFromJsonValue(const JsonValue &v)
     r.technique = techniqueFromName(v.at("technique").asString());
     r.status = simStatusFromName(v.at("status").asString());
     r.status_message = v.at("status_message").asString();
-    r.core = coreStatsFromJson(v.at("core"));
-    r.mem = memStatsFromJson(v.at("mem"));
+    r.core = fromJson<CoreStats>(v.at("core"));
+    r.mem = fromJson<MemStats>(v.at("mem"));
     r.mlp = v.at("mlp").asF64();
     if (const JsonValue *p = v.find("term_signal"))
         r.term_signal = int(p->asU64());
     if (const JsonValue *p = v.find("rss_peak_kb"))
         r.rss_peak_kb = p->asU64();
     if (const JsonValue *p = v.find("pre"))
-        r.pre = preStatsFromJson(*p);
+        r.pre = fromJson<PreStats>(*p);
     if (const JsonValue *p = v.find("vr"))
-        r.vr = vrStatsFromJson(*p);
+        r.vr = fromJson<VrStats>(*p);
     if (const JsonValue *p = v.find("dvr"))
-        r.dvr = dvrStatsFromJson(*p);
+        r.dvr = fromJson<DvrStats>(*p);
     if (const JsonValue *p = v.find("digest"))
         r.digest = digestFromJson(*p);
     if (const JsonValue *p = v.find("sample"))
-        r.sample = sampleFromJson(*p);
+        r.sample = fromJson<SampleSummary>(*p);
     return r;
 }
 
@@ -595,32 +418,16 @@ pointToJsonBody(const RunPoint &p)
         .field("column", str(p.column))
         .field("variant", str(p.variant));
     if (p.features)
-        o.field("features", Obj{}
-            .field("discovery", boolean(p.features->discovery))
-            .field("nested", boolean(p.features->nested))
-            .field("reconverge", boolean(p.features->reconverge))
-            .done());
-    o.field("cfg", configToJson(p.cfg))
-        .field("gscale", Obj{}
-            .field("nodes", u64(p.gscale.nodes))
-            .field("avg_degree", u64(p.gscale.avg_degree))
-            .field("seed", u64(p.gscale.seed))
-            .done())
-        .field("hscale", Obj{}
-            .field("elements", u64(p.hscale.elements))
-            .field("seed", u64(p.hscale.seed))
-            .done())
+        o.field("features", jsonOf(*p.features));
+    o.field("cfg", jsonOf(p.cfg))
+        .field("gscale", jsonOf(p.gscale))
+        .field("hscale", jsonOf(p.hscale))
         .field("max_insts", u64(p.max_insts))
         .field("warmup", u64(p.warmup));
     // Only-when-set: points without a sampling plan keep their
     // pre-sampling serialization (and plan fingerprints) unchanged.
     if (p.sampling.enabled())
-        o.field("sampling", Obj{}
-            .field("ff_insts", u64(p.sampling.ff_insts))
-            .field("period", u64(p.sampling.period))
-            .field("detail", u64(p.sampling.detail))
-            .field("warm", u64(p.sampling.warm))
-            .done());
+        o.field("sampling", jsonOf(p.sampling));
     o.field("inject_fail", boolean(p.inject_fail));
     if (p.inject_fail) {
         o.field("inject_kind", str(injectKindName(p.inject_kind)));
@@ -638,28 +445,15 @@ pointFromJsonValue(const JsonValue &v)
     p.technique = techniqueFromName(v.at("technique").asString());
     p.column = v.at("column").asString();
     p.variant = v.at("variant").asString();
-    if (const JsonValue *f = v.find("features")) {
-        DvrFeatures feat;
-        feat.discovery = f->at("discovery").asBool();
-        feat.nested = f->at("nested").asBool();
-        feat.reconverge = f->at("reconverge").asBool();
-        p.features = feat;
-    }
-    p.cfg = configFromJson(v.at("cfg"));
-    const JsonValue &g = v.at("gscale");
-    p.gscale.nodes = g.at("nodes").asU64();
-    p.gscale.avg_degree = g.at("avg_degree").asU64();
-    p.gscale.seed = g.at("seed").asU64();
-    const JsonValue &h = v.at("hscale");
-    p.hscale.elements = h.at("elements").asU64();
-    p.hscale.seed = h.at("seed").asU64();
+    if (const JsonValue *f = v.find("features"))
+        p.features = fromJson<DvrFeatures>(*f);
+    p.cfg = fromJson<SystemConfig>(v.at("cfg"));
+    p.gscale = fromJson<GraphScale>(v.at("gscale"));
+    p.hscale = fromJson<HpcDbScale>(v.at("hscale"));
     p.max_insts = v.at("max_insts").asU64();
     p.warmup = v.at("warmup").asU64();
     if (const JsonValue *s = v.find("sampling")) {
-        p.sampling.ff_insts = s->at("ff_insts").asU64();
-        p.sampling.period = s->at("period").asU64();
-        p.sampling.detail = s->at("detail").asU64();
-        p.sampling.warm = s->at("warm").asU64();
+        p.sampling = fromJson<SamplingPlan>(*s);
         p.sampling.validate();
     }
     p.inject_fail = v.at("inject_fail").asBool();

@@ -69,6 +69,41 @@ SampleSummary::cpiCi95() const
     return momentsCi95(cpi_sum, cpi_sumsq, intervals);
 }
 
+void
+SampleSummary::registerIn(StatsRegistry &reg) const
+{
+    StatRecord::registerIn(reg);
+    reg.addSample("sample.cpi",
+                  "per-interval CPI of the detailed-measure windows "
+                  "(mean, stddev, 95% CI); sampled IPC is 1/mean")
+        .setMoments(cpi_sum, cpi_sumsq, intervals);
+}
+
+SegmentSchedule::SegmentSchedule(uint64_t budget, uint64_t warmup,
+                                 const SamplingPlan &plan)
+{
+    plan.validate();
+    if (plan.ff_insts)
+        head_.push_back({Segment::Kind::Ff, plan.ff_insts});
+    if (!plan.sampling()) {
+        head_.push_back({Segment::Kind::Detailed, budget, warmup});
+        return;
+    }
+    if (warmup)
+        fatal("--sample and --warmup are mutually exclusive: the "
+              "plan's per-window detailed-warm instructions replace "
+              "the global warmup");
+    periods_ = budget / plan.period;
+    if (periods_ == 0)
+        fatal("--sample period " + std::to_string(plan.period) +
+              " exceeds the instruction budget " +
+              std::to_string(budget) + " (no interval fits)");
+    if (uint64_t ff = plan.period - plan.detail - plan.warm)
+        body_.push_back({Segment::Kind::FfWarm, ff});
+    body_.push_back({Segment::Kind::Detailed, plan.warm + plan.detail,
+                     plan.warm, /*window=*/true});
+}
+
 const char *
 simStatusName(SimStatus s)
 {
@@ -127,46 +162,6 @@ runGuarded(const std::string &workload_name, Technique technique,
 namespace
 {
 
-/** Field-wise sum of per-window core statistics (sampled runs). */
-void
-accumulate(CoreStats &into, const CoreStats &win)
-{
-    into.instructions += win.instructions;
-    into.cycles += win.cycles;
-    into.loads += win.loads;
-    into.stores += win.stores;
-    into.branches += win.branches;
-    into.mispredicts += win.mispredicts;
-    into.rob_stall_cycles += win.rob_stall_cycles;
-    into.full_rob_stall_events += win.full_rob_stall_events;
-    into.runahead_commit_stall += win.runahead_commit_stall;
-    into.btb_misses += win.btb_misses;
-    into.icache_misses += win.icache_misses;
-    into.stall_fetch += win.stall_fetch;
-    into.stall_iq += win.stall_iq;
-    into.stall_lq += win.stall_lq;
-    into.stall_sq += win.stall_sq;
-}
-
-/** Field-wise sum of per-window memory statistics (sampled runs). */
-void
-accumulate(MemStats &into, const MemStats &win)
-{
-    into.demand_accesses += win.demand_accesses;
-    into.demand_l1_hits += win.demand_l1_hits;
-    into.demand_l2_hits += win.demand_l2_hits;
-    into.demand_l3_hits += win.demand_l3_hits;
-    into.demand_mem += win.demand_mem;
-    into.demand_latency_sum += win.demand_latency_sum;
-    for (size_t i = 0; i < win.dram_by_requester.size(); i++)
-        into.dram_by_requester[i] += win.dram_by_requester[i];
-    into.pf_lines_filled += win.pf_lines_filled;
-    into.pf_used_l1 += win.pf_used_l1;
-    into.pf_used_l2 += win.pf_used_l2;
-    into.pf_used_l3 += win.pf_used_l3;
-    into.pf_used_inflight += win.pf_used_inflight;
-}
-
 double
 secondsSince(const std::chrono::steady_clock::time_point &t0)
 {
@@ -183,11 +178,8 @@ runWorkload(Workload &w, Technique technique, SystemConfig cfg,
             const SamplingPlan &sampling)
 {
     cfg.technique = technique;
-    sampling.validate();
-    if (sampling.sampling() && warmup_insts)
-        fatal("--sample and --warmup are mutually exclusive: the "
-              "plan's per-window detailed-warm instructions replace "
-              "the global warmup");
+    const SegmentSchedule schedule(
+        max_insts ? max_insts : w.suggested_insts, warmup_insts, sampling);
     MemoryHierarchy hier(cfg, w.image);
     if (technique == Technique::Imp)
         hier.enableImp();
@@ -237,8 +229,6 @@ runWorkload(Workload &w, Technique technique, SystemConfig cfg,
         if (engine)
             engine->setTraceSink(trace);
     }
-    uint64_t budget = max_insts ? max_insts : w.suggested_insts;
-
     // Differential oracle: hash the committed stream (incl. warmup,
     // which is a timing distinction only — the committed instructions
     // are identical across techniques by construction).
@@ -251,140 +241,71 @@ runWorkload(Workload &w, Technique technique, SystemConfig cfg,
     SimResult res;
     res.workload = w.name;
     res.technique = technique;
-    MemStats warm_mem;
-    uint64_t warm_busy = 0;
-    bool sampled_mem = false; // res.mem/res.mlp set by the sampled loop
+    SampleSummary ss;
+    uint64_t busy = 0;  // L1D MSHR-busy cycles of the measured spans
     {
         SelfProfiler::PhaseTimer pt =
             SelfProfiler::process().phase("simulate");
         auto t0 = std::chrono::steady_clock::now();
-        auto snap_warm = [&] {
-            warm_mem = hier.stats();
-            warm_busy = hier.l1Mshrs().busyIntegral();
-        };
-        if (!sampling.enabled()) {
-            res.core = core.run(w.init, budget, warmup_insts, snap_warm);
-        } else {
-            CpuState state = w.init;
-            Cycle clock = 0;
-            if (sampling.ff_insts) {
-                // Pure functional prefix skip: native-loop speed, no
-                // warming — the caches/predictors enter the ROI cold
-                // and the first detailed-warm window (or --warmup)
-                // recovers them.
-                auto f0 = std::chrono::steady_clock::now();
-                uint64_t done =
-                    core.fastForward(state, sampling.ff_insts, clock,
-                                     /*warm=*/false);
-                res.host_ff_seconds += secondsSince(f0);
-                if (done < sampling.ff_insts)
-                    fatal("workload halted after " +
-                          std::to_string(done) +
+        CpuState state = w.init;
+        Cycle clock = 0;
+        for (uint64_t k = 0; k < schedule.size() && !state.halted; k++) {
+            const Segment &seg = schedule[k];
+            auto s0 = std::chrono::steady_clock::now();
+            if (seg.kind != Segment::Kind::Detailed) {
+                const uint64_t done = core.fastForward(
+                    state, seg.insts, clock,
+                    seg.kind == Segment::Kind::FfWarm);
+                res.host_ff_seconds += secondsSince(s0);
+                ss.ff_insts += done;
+                if (seg.kind == Segment::Kind::Ff && done < seg.insts)
+                    fatal("workload halted after " + std::to_string(done) +
                           " instructions, inside the --ff-insts " +
-                          std::to_string(sampling.ff_insts) +
+                          std::to_string(seg.insts) +
                           " prefix — nothing left to measure");
+                continue;
             }
-            if (!sampling.sampling()) {
-                // Fast-forward prefix, then an ordinary full-detail
-                // ROI over the remaining budget.
-                SampleSummary ss;
-                ss.ff_insts = sampling.ff_insts;
-                res.sample = ss;
-                auto d0 = std::chrono::steady_clock::now();
-                res.core = core.runFrom(state, budget, warmup_insts,
-                                        clock, snap_warm);
-                res.host_detailed_seconds += secondsSince(d0);
-            } else {
-                // SMARTS interval sampling: per period, functionally
-                // fast-forward with cache/BP warming, run a detailed-
-                // warm window (stats excluded), then a detailed-
-                // measure window whose IPC becomes one observation.
-                SampleSummary ss;
-                ss.ff_insts += sampling.ff_insts;
-                const uint64_t periods = budget / sampling.period;
-                if (periods == 0)
-                    fatal("--sample period " +
-                          std::to_string(sampling.period) +
-                          " exceeds the instruction budget " +
-                          std::to_string(budget) +
-                          " (no interval fits)");
-                const uint64_t ff_per_period =
-                    sampling.period - sampling.detail - sampling.warm;
-                CoreStats total;
-                MemStats mem_total;
-                uint64_t busy_total = 0;
-                for (uint64_t p = 0; p < periods && !state.halted;
-                     p++) {
-                    if (ff_per_period) {
-                        auto f0 = std::chrono::steady_clock::now();
-                        ss.ff_insts += core.fastForward(
-                            state, ff_per_period, clock, /*warm=*/true);
-                        res.host_ff_seconds += secondsSince(f0);
-                        if (state.halted)
-                            break;
-                    }
-                    MemStats wm;
-                    uint64_t wb = 0;
-                    bool snapped = false;
-                    auto snap_win = [&] {
-                        wm = hier.stats();
-                        wb = hier.l1Mshrs().busyIntegral();
-                        snapped = true;
-                    };
-                    if (sampling.warm == 0)
-                        snap_win();
-                    auto d0 = std::chrono::steady_clock::now();
-                    CoreStats win = core.runFrom(
-                        state, sampling.warm + sampling.detail,
-                        sampling.warm, clock, snap_win);
-                    res.host_detailed_seconds += secondsSince(d0);
-                    if (!snapped)
-                        break; // halted inside the warm window
-                    ss.warm_insts += sampling.warm;
-                    accumulate(total, win);
-                    accumulate(mem_total, hier.stats().since(
-                                              wm, cfg.invariant_checks));
-                    busy_total +=
-                        hier.l1Mshrs().busyIntegral() - wb;
-                    // Only complete measure windows enter the CI: a
-                    // halted tail has different length and would bias
-                    // the variance estimate. The observation is the
-                    // window's CPI — with equal-length windows the
-                    // mean of per-window CPIs is the unbiased ratio
-                    // estimate of the full run's CPI, which a mean of
-                    // per-window IPCs is not (SampleSummary docs).
-                    if (!state.halted &&
-                        win.instructions == sampling.detail) {
-                        double cpi = double(win.cycles) /
-                                     double(win.instructions);
-                        ss.cpi_sum += cpi;
-                        ss.cpi_sumsq += cpi * cpi;
-                        ss.intervals++;
-                    }
-                }
-                res.core = total;
-                res.mem = mem_total;
-                res.mlp = total.cycles
-                              ? double(busy_total) / double(total.cycles)
-                              : 0.0;
-                res.sample = ss;
-                sampled_mem = true;
+            // Measure from the end of the warm prefix; a plain run that
+            // halts inside its --warmup is measured from its start.
+            MemStats mem0 = hier.stats();
+            uint64_t busy0 = hier.l1Mshrs().busyIntegral();
+            bool warmed = seg.warm == 0;
+            CoreStats win = core.runFrom(
+                state, seg.insts, seg.warm, clock, [&] {
+                    mem0 = hier.stats();
+                    busy0 = hier.l1Mshrs().busyIntegral();
+                    warmed = true;
+                });
+            res.host_detailed_seconds += secondsSince(s0);
+            if (seg.window && !warmed)
+                break;  // halted inside a SMARTS warm window: drop it
+            res.core += win;
+            res.mem += hier.stats().since(mem0, cfg.invariant_checks);
+            busy += hier.l1Mshrs().busyIntegral() - busy0;
+            if (!seg.window)
+                continue;
+            ss.warm_insts += seg.warm;
+            // Only complete measure windows enter the CI: a halted tail
+            // has different length and would bias the variance
+            // estimate. The observation is the window's CPI — with
+            // equal-length windows the mean of per-window CPIs is the
+            // unbiased ratio estimate of the full run's CPI, which a
+            // mean of per-window IPCs is not (SampleSummary docs).
+            if (!state.halted && win.instructions == seg.insts - seg.warm) {
+                double cpi = double(win.cycles) / double(win.instructions);
+                ss.cpi_sum += cpi;
+                ss.cpi_sumsq += cpi * cpi;
+                ss.intervals++;
             }
         }
-        res.host_seconds = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0).count();
-        if (!sampling.enabled())
-            res.host_detailed_seconds = res.host_seconds;
+        res.host_seconds = secondsSince(t0);
     }
     SelfProfiler::process().addSimulated(res.core.instructions,
                                          res.core.cycles);
-    if (!sampled_mem) {
-        res.mem = hier.stats().since(warm_mem, cfg.invariant_checks);
-        uint64_t busy = hier.l1Mshrs().busyIntegral() - warm_busy;
-        res.mlp = res.core.cycles
-                      ? double(busy) / double(res.core.cycles)
-                      : 0.0;
-    }
+    res.mlp = res.core.cycles ? double(busy) / double(res.core.cycles)
+                              : 0.0;
+    if (sampling.enabled())
+        res.sample = ss;
     if (pre)
         res.pre = pre->stats();
     if (vr)
@@ -404,29 +325,6 @@ runSimulation(const std::string &spec, Technique technique,
 {
     Workload w = makeWorkload(spec, gscale, hscale);
     return runWorkload(w, technique, cfg, max_insts, warmup_insts);
-}
-
-SimResult
-runWorkloadGuarded(Workload &w, Technique technique, SystemConfig cfg,
-                   uint64_t max_insts, uint64_t warmup_insts,
-                   const SamplingPlan &sampling)
-{
-    return runGuarded(w.name, technique, [&] {
-        return runWorkload(w, technique, cfg, max_insts, warmup_insts,
-                           nullptr, nullptr, sampling);
-    });
-}
-
-SimResult
-runSimulationGuarded(const std::string &spec, Technique technique,
-                     SystemConfig cfg, const GraphScale &gscale,
-                     const HpcDbScale &hscale, uint64_t max_insts,
-                     uint64_t warmup_insts)
-{
-    return runGuarded(spec, technique, [&] {
-        return runSimulation(spec, technique, cfg, gscale, hscale,
-                             max_insts, warmup_insts);
-    });
 }
 
 std::vector<std::string>

@@ -25,7 +25,7 @@ namespace vrsim
 {
 
 /**
- * How one simulation run ended. The guarded entry points map the
+ * How one simulation run ended. runGuarded() maps the
  * error taxonomy (sim/logging.hh) onto this so a sweep can record a
  * failed run and keep going; see docs/robustness.md.
  */
@@ -97,14 +97,27 @@ struct SamplingPlan
  * is the reciprocal, and ipcCi95() propagates the CPI interval
  * through the reciprocal (delta method) — see docs/sampling.md.
  */
-struct SampleSummary
+struct SampleSummary : StatRecord<SampleSummary>
 {
-    uint64_t intervals = 0;   //!< completed detailed-measure windows
-    uint64_t ff_insts = 0;    //!< functionally executed instructions
-    uint64_t warm_insts = 0;  //!< detailed-warm insts (excluded from
-                              //!< reported statistics)
-    double cpi_sum = 0.0;     //!< sum of per-interval CPIs
-    double cpi_sumsq = 0.0;   //!< sum of squared per-interval CPIs
+    uint64_t intervals = 0;
+    uint64_t ff_insts = 0;
+    uint64_t warm_insts = 0;
+    double cpi_sum = 0.0;
+    double cpi_sumsq = 0.0;
+
+    static constexpr std::tuple fields{
+        stat("intervals", "sample.intervals",
+             "completed detailed-measure windows", &SampleSummary::intervals),
+        stat("ff_insts", "sample.ff_insts",
+             "functionally fast-forwarded instructions",
+             &SampleSummary::ff_insts),
+        stat("warm_insts", "sample.warm_insts",
+             "detailed-warm instructions excluded from statistics",
+             &SampleSummary::warm_insts),
+        stat("cpi_sum", "sum of per-interval CPIs", &SampleSummary::cpi_sum),
+        stat("cpi_sumsq", "sum of squared per-interval CPIs",
+             &SampleSummary::cpi_sumsq),
+    };
 
     double cpiMean() const
     { return intervals ? cpi_sum / double(intervals) : 0.0; }
@@ -118,6 +131,64 @@ struct SampleSummary
         double m = cpiMean();
         return m > 0.0 ? cpiCi95() / (m * m) : 0.0;
     }
+
+    /** Register the counters plus the sample.cpi Sample node. */
+    void registerIn(StatsRegistry &reg) const;
+};
+static_assert(statTableBytes<SampleSummary>() ==
+              sizeof(SampleSummary));
+
+/**
+ * One step of a run's segment schedule (docs/sampling.md). Ff runs
+ * timing-free at native-loop speed and leaves the timing state cold;
+ * FfWarm also warms caches, predictors and the BTB; Detailed runs in
+ * full detail, excluding its first `warm` instructions from the
+ * statistics within the same OooCore::runFrom call (the pipeline
+ * restarts empty on every call, so splitting it would change timing).
+ */
+struct Segment
+{
+    enum class Kind : uint8_t { Ff, FfWarm, Detailed };
+
+    Kind kind = Kind::Detailed;
+    uint64_t insts = 0;   //!< instructions to run, warm prefix included
+                          //!< (Detailed 0: up to cfg.max_insts)
+    uint64_t warm = 0;    //!< Detailed: leading instructions not measured
+    bool window = false;  //!< Detailed: a SMARTS measure window — one
+                          //!< CPI observation; a halt inside its warm
+                          //!< prefix drops it and ends the run
+};
+
+/**
+ * The segments a run executes, built from its instruction budget,
+ * warmup and SamplingPlan:
+ *   plain run   [Detailed(W+R, warm W)]
+ *   ff prefix   [Ff(F), Detailed(W+R, warm W)]
+ *   SMARTS      [Ff(F)] then [FfWarm(M-N-W), Detailed(W+N, warm W)]
+ *               repeated budget/M times
+ * Repeated periods are generated on demand, so a long sampled run
+ * holds no per-period state.
+ */
+class SegmentSchedule
+{
+  public:
+    /** fatal() on plans no budget fits or combined with a warmup. */
+    SegmentSchedule(uint64_t budget, uint64_t warmup,
+                    const SamplingPlan &plan);
+
+    uint64_t size() const { return head_.size() + periods_ * body_.size(); }
+
+    const Segment &
+    operator[](uint64_t k) const
+    {
+        return k < head_.size() ? head_[k]
+                                : body_[(k - head_.size()) % body_.size()];
+    }
+
+  private:
+    std::vector<Segment> head_;
+    std::vector<Segment> body_;  //!< one sampling period
+    uint64_t periods_ = 0;
 };
 
 /**
@@ -215,31 +286,12 @@ SimResult runWorkload(Workload &w, Technique technique,
                       const SamplingPlan &sampling = {});
 
 /**
- * Fault-isolated variants: any FatalError / PanicError / HangError
- * raised by the run is caught and recorded as the result's status +
- * message instead of propagating, so one bad configuration or wedged
- * run degrades a sweep rather than destroying it. Failed results
- * carry zeroed statistics and ok() == false.
- */
-SimResult runWorkloadGuarded(Workload &w, Technique technique,
-                             SystemConfig cfg, uint64_t max_insts = 0,
-                             uint64_t warmup_insts = 0,
-                             const SamplingPlan &sampling = {});
-
-/** Guarded runSimulation (also catches workload-construction errors). */
-SimResult runSimulationGuarded(const std::string &spec,
-                               Technique technique, SystemConfig cfg,
-                               const GraphScale &gscale = GraphScale{},
-                               const HpcDbScale &hscale = HpcDbScale{},
-                               uint64_t max_insts = 0,
-                               uint64_t warmup_insts = 0);
-
-/**
- * The fault-isolation primitive behind the Guarded entry points: run
- * @p body, folding any FatalError / PanicError / HangError into a
- * failed SimResult labelled @p workload_name / @p technique. Exposed
- * so custom runners (SweepRunner, bespoke harnesses) get identical
- * error taxonomy handling.
+ * Fault isolation: run @p body, folding any FatalError / PanicError /
+ * HangError into a failed SimResult labelled @p workload_name /
+ * @p technique (zeroed statistics, ok() == false), so one bad
+ * configuration or wedged run degrades a sweep rather than destroying
+ * it. Wrap runWorkload or runSimulation in a lambda to guard them;
+ * SweepRunner guards every point this way.
  */
 SimResult runGuarded(const std::string &workload_name,
                      Technique technique,

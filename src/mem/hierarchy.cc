@@ -60,16 +60,7 @@ MemoryHierarchy::inL1(uint64_t addr) const
 void
 MemStats::registerIn(StatsRegistry &reg, double mlp) const
 {
-    reg.addCounter("mem.demand_accesses",
-                   "timed demand loads+stores") += demand_accesses;
-    reg.addCounter("mem.l1_hits", "demand accesses serviced by L1D") +=
-        demand_l1_hits;
-    reg.addCounter("mem.l2_hits", "demand accesses serviced by L2") +=
-        demand_l2_hits;
-    reg.addCounter("mem.l3_hits", "demand accesses serviced by L3") +=
-        demand_l3_hits;
-    reg.addCounter("mem.mem_accesses",
-                   "demand accesses serviced by DRAM") += demand_mem;
+    StatRecord::registerIn(reg);
     // Captured by value so the formula is self-contained (the raw
     // latency sum is not itself a reported column).
     const uint64_t acc = demand_accesses;
@@ -89,20 +80,6 @@ MemStats::registerIn(StatsRegistry &reg, double mlp) const
                    "DRAM fills from runahead prefetching") +=
         dramRunahead();
     reg.addGauge("mem.mlp", "mean L1D MSHRs busy per cycle") = mlp;
-    reg.addCounter("mem.pf_lines_filled",
-                   "runahead prefetch fills issued") += pf_lines_filled;
-    reg.addCounter("mem.pf_used_l1",
-                   "runahead-prefetched lines first used from L1") +=
-        pf_used_l1;
-    reg.addCounter("mem.pf_used_l2",
-                   "runahead-prefetched lines first used from L2") +=
-        pf_used_l2;
-    reg.addCounter("mem.pf_used_l3",
-                   "runahead-prefetched lines first used from L3") +=
-        pf_used_l3;
-    reg.addCounter("mem.pf_used_inflight",
-                   "runahead-prefetched lines used while in transfer")
-        += pf_used_inflight;
 }
 
 AccessResult

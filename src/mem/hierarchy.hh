@@ -19,36 +19,67 @@
 #include "mem/interval_resource.hh"
 #include "mem/request.hh"
 #include "mem/stride_rpt.hh"
+#include "obs/stat_table.hh"
 #include "sim/config.hh"
 
 namespace vrsim
 {
 
 class ImpPrefetcher;
-class StatsRegistry;
 class TraceSink;
 
-/** Aggregated memory-system statistics for one simulation run. */
-struct MemStats
+/**
+ * Aggregated memory-system statistics for one simulation run
+ * (descriptions in `fields`): demand accesses by level serviced, DRAM
+ * line fills by requester, and runahead-prefetch timeliness — where
+ * the main thread found runahead-prefetched lines on first use
+ * (Fig. 11).
+ */
+struct MemStats : StatRecord<MemStats>
 {
-    // Demand accesses by level serviced.
     uint64_t demand_accesses = 0;
     uint64_t demand_l1_hits = 0;
     uint64_t demand_l2_hits = 0;
     uint64_t demand_l3_hits = 0;
     uint64_t demand_mem = 0;
-    uint64_t demand_latency_sum = 0;   //!< total demand latency cycles
-
-    // DRAM line fills attributed to their requester.
-    std::array<uint64_t, 4> dram_by_requester{};
-
-    // Runahead-prefetch timeliness: where the main thread found
-    // runahead-prefetched lines on first use (Fig. 11).
-    uint64_t pf_lines_filled = 0;   //!< runahead prefetch fills issued
+    uint64_t demand_latency_sum = 0;
+    StatVec dram_by_requester{};  //!< indexed by Requester
+    uint64_t pf_lines_filled = 0;
     uint64_t pf_used_l1 = 0;
     uint64_t pf_used_l2 = 0;
     uint64_t pf_used_l3 = 0;
-    uint64_t pf_used_inflight = 0;  //!< arrived while still in transfer
+    uint64_t pf_used_inflight = 0;
+
+    static constexpr std::tuple fields{
+        stat("demand_accesses", "mem.demand_accesses",
+             "timed demand loads+stores", &MemStats::demand_accesses),
+        stat("demand_l1_hits", "mem.l1_hits",
+             "demand accesses serviced by L1D", &MemStats::demand_l1_hits),
+        stat("demand_l2_hits", "mem.l2_hits", "demand accesses serviced by L2",
+             &MemStats::demand_l2_hits),
+        stat("demand_l3_hits", "mem.l3_hits", "demand accesses serviced by L3",
+             &MemStats::demand_l3_hits),
+        stat("demand_mem", "mem.mem_accesses",
+             "demand accesses serviced by DRAM", &MemStats::demand_mem),
+        stat("demand_latency_sum", nullptr, "total demand latency cycles",
+             &MemStats::demand_latency_sum),
+        stat("dram_by_requester", "DRAM line fills by requester",
+             &MemStats::dram_by_requester),
+        stat("pf_lines_filled", "mem.pf_lines_filled",
+             "runahead prefetch fills issued", &MemStats::pf_lines_filled),
+        stat("pf_used_l1", "mem.pf_used_l1",
+             "runahead-prefetched lines first used from L1",
+             &MemStats::pf_used_l1),
+        stat("pf_used_l2", "mem.pf_used_l2",
+             "runahead-prefetched lines first used from L2",
+             &MemStats::pf_used_l2),
+        stat("pf_used_l3", "mem.pf_used_l3",
+             "runahead-prefetched lines first used from L3",
+             &MemStats::pf_used_l3),
+        stat("pf_used_inflight", "mem.pf_used_inflight",
+             "runahead-prefetched lines used while in transfer",
+             &MemStats::pf_used_inflight),
+    };
 
     uint64_t dramTotal() const
     {
@@ -81,53 +112,8 @@ struct MemStats
      * which knows the cycle count).
      */
     void registerIn(StatsRegistry &reg, double mlp) const;
-
-    /**
-     * Counter-wise difference (for warmup exclusion). With @p check
-     * set (cfg.invariant_checks), panics if any counter regressed —
-     * an unsigned subtraction that would wrap to a bogus statistic.
-     */
-    MemStats
-    since(const MemStats &w, bool check = false) const
-    {
-        if (check) {
-            panicIfNot(
-                demand_accesses >= w.demand_accesses &&
-                    demand_l1_hits >= w.demand_l1_hits &&
-                    demand_l2_hits >= w.demand_l2_hits &&
-                    demand_l3_hits >= w.demand_l3_hits &&
-                    demand_mem >= w.demand_mem &&
-                    demand_latency_sum >= w.demand_latency_sum &&
-                    pf_lines_filled >= w.pf_lines_filled &&
-                    pf_used_l1 >= w.pf_used_l1 &&
-                    pf_used_l2 >= w.pf_used_l2 &&
-                    pf_used_l3 >= w.pf_used_l3 &&
-                    pf_used_inflight >= w.pf_used_inflight,
-                "memory stats regressed across the warmup boundary "
-                "(subtraction would underflow)");
-            for (size_t i = 0; i < dram_by_requester.size(); i++)
-                panicIfNot(dram_by_requester[i] >=
-                               w.dram_by_requester[i],
-                           "DRAM requester counter regressed across "
-                           "the warmup boundary");
-        }
-        MemStats d = *this;
-        d.demand_accesses -= w.demand_accesses;
-        d.demand_l1_hits -= w.demand_l1_hits;
-        d.demand_l2_hits -= w.demand_l2_hits;
-        d.demand_l3_hits -= w.demand_l3_hits;
-        d.demand_mem -= w.demand_mem;
-        d.demand_latency_sum -= w.demand_latency_sum;
-        for (size_t i = 0; i < d.dram_by_requester.size(); i++)
-            d.dram_by_requester[i] -= w.dram_by_requester[i];
-        d.pf_lines_filled -= w.pf_lines_filled;
-        d.pf_used_l1 -= w.pf_used_l1;
-        d.pf_used_l2 -= w.pf_used_l2;
-        d.pf_used_l3 -= w.pf_used_l3;
-        d.pf_used_inflight -= w.pf_used_inflight;
-        return d;
-    }
 };
+static_assert(statTableBytes<MemStats>() == sizeof(MemStats));
 
 /**
  * Copyable snapshot of the hierarchy's warmable state: the three tag

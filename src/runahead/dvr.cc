@@ -12,19 +12,7 @@ namespace vrsim
 void
 DvrStats::registerIn(StatsRegistry &reg) const
 {
-    reg.addCounter("dvr.discoveries", "Discovery Mode entries") +=
-        discoveries;
-    reg.addCounter("dvr.discovery_aborts",
-                   "discoveries abandoned (no chain / timeout)") +=
-        discovery_aborts;
-    reg.addCounter("dvr.innermost_switches",
-                   "Discovery retargets to an inner stride") +=
-        innermost_switches;
-    reg.addCounter("dvr.spawns", "vector subthread invocations") +=
-        spawns;
-    reg.addCounter("dvr.nested_spawns",
-                   "NDM-expanded subthread invocations") += nested_spawns;
-    reg.addCounter("dvr.lanes", "vector lanes spawned") += lanes_spawned;
+    StatRecord::registerIn(reg);
     reg.addFormula(
         "dvr.mean_lanes",
         [](const StatsRegistry &r) {
@@ -32,15 +20,6 @@ DvrStats::registerIn(StatsRegistry &reg) const
             return s ? r.value("dvr.lanes") / s : 0.0;
         },
         "mean lanes per subthread invocation");
-    reg.addCounter("dvr.prefetches", "prefetches issued by DVR") +=
-        prefetches;
-    reg.addCounter("dvr.divergences", "SIMT lane divergence events") +=
-        divergences;
-    reg.addCounter("dvr.bound_limited",
-                   "spawns clipped by the inferred loop bound") +=
-        bound_limited;
-    reg.addCounter("dvr.dedupe_skips",
-                   "spawns skipped as already covered") += dedupe_skips;
 }
 
 DecoupledVectorRunahead::DecoupledVectorRunahead(

@@ -18,6 +18,7 @@
 
 #include "core/engine.hh"
 #include "mem/stride_rpt.hh"
+#include "obs/stat_table.hh"
 #include "runahead/lane_executor.hh"
 #include "runahead/loop_bound.hh"
 #include "runahead/taint_tracker.hh"
@@ -26,8 +27,6 @@
 
 namespace vrsim
 {
-
-class StatsRegistry;
 
 /** Feature toggles reproducing Fig. 8's breakdown steps. */
 struct DvrFeatures
@@ -44,20 +43,48 @@ struct DvrFeatures
     { return {true, true, true}; }
 };
 
-/** Statistics of the DVR engine. */
-struct DvrStats
+/** Statistics of the DVR engine, reported under "dvr." paths. */
+struct DvrStats : StatRecord<DvrStats>
 {
-    uint64_t discoveries = 0;       //!< Discovery Mode entries
-    uint64_t discovery_aborts = 0;  //!< no dependent chain / timeout
-    uint64_t innermost_switches = 0; //!< retargeted to inner stride
-    uint64_t spawns = 0;            //!< vector subthread invocations
-    uint64_t nested_spawns = 0;     //!< NDM-expanded invocations
-    uint64_t ndm_fallbacks = 0;     //!< NDM found no outer stride
+    uint64_t discoveries = 0;
+    uint64_t discovery_aborts = 0;
+    uint64_t innermost_switches = 0;
+    uint64_t spawns = 0;
+    uint64_t nested_spawns = 0;
+    uint64_t ndm_fallbacks = 0;
     uint64_t lanes_spawned = 0;
     uint64_t prefetches = 0;
     uint64_t divergences = 0;
-    uint64_t bound_limited = 0;     //!< spawns clipped by loop bound
-    uint64_t dedupe_skips = 0;      //!< spawns skipped, already covered
+    uint64_t bound_limited = 0;
+    uint64_t dedupe_skips = 0;
+
+    static constexpr std::tuple fields{
+        stat("discoveries", "dvr.discoveries", "Discovery Mode entries",
+             &DvrStats::discoveries),
+        stat("discovery_aborts", "dvr.discovery_aborts",
+             "discoveries abandoned (no chain / timeout)",
+             &DvrStats::discovery_aborts),
+        stat("innermost_switches", "dvr.innermost_switches",
+             "Discovery retargets to an inner stride",
+             &DvrStats::innermost_switches),
+        stat("spawns", "dvr.spawns", "vector subthread invocations",
+             &DvrStats::spawns),
+        stat("nested_spawns", "dvr.nested_spawns",
+             "NDM-expanded subthread invocations", &DvrStats::nested_spawns),
+        stat("ndm_fallbacks", nullptr, "NDM found no outer stride",
+             &DvrStats::ndm_fallbacks),
+        stat("lanes_spawned", "dvr.lanes", "vector lanes spawned",
+             &DvrStats::lanes_spawned),
+        stat("prefetches", "dvr.prefetches", "prefetches issued by DVR",
+             &DvrStats::prefetches),
+        stat("divergences", "dvr.divergences", "SIMT lane divergence events",
+             &DvrStats::divergences),
+        stat("bound_limited", "dvr.bound_limited",
+             "spawns clipped by the inferred loop bound",
+             &DvrStats::bound_limited),
+        stat("dedupe_skips", "dvr.dedupe_skips",
+             "spawns skipped as already covered", &DvrStats::dedupe_skips),
+    };
 
     double
     meanLanes() const
@@ -65,9 +92,10 @@ struct DvrStats
         return spawns ? double(lanes_spawned) / double(spawns) : 0.0;
     }
 
-    /** Register the reported statistics under "dvr." paths. */
+    /** Register the counters plus the dvr.mean_lanes formula. */
     void registerIn(StatsRegistry &reg) const;
 };
+static_assert(statTableBytes<DvrStats>() == sizeof(DvrStats));
 
 /** The Decoupled Vector Runahead engine. */
 class DecoupledVectorRunahead : public RunaheadEngine

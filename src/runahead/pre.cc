@@ -3,24 +3,11 @@
 #include <algorithm>
 #include <array>
 
-#include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "sim/digest.hh"
 
 namespace vrsim
 {
-
-void
-PreStats::registerIn(StatsRegistry &reg) const
-{
-    reg.addCounter("pre.intervals", "PRE runahead episodes") +=
-        intervals;
-    reg.addCounter("pre.prefetches", "loads issued during PRE") +=
-        prefetches;
-    reg.addCounter("pre.skipped_dependent",
-                   "loads skipped past the first indirection level") +=
-        skipped_dependent;
-}
 
 Cycle
 PreEngine::onFullRobStall(Cycle stall_start, Cycle head_fill,

@@ -17,25 +17,33 @@
 #include "core/engine.hh"
 #include "isa/interp.hh"
 #include "mem/hierarchy.hh"
+#include "obs/stat_table.hh"
 #include "sim/config.hh"
 
 namespace vrsim
 {
 
-class StatsRegistry;
-
-/** Statistics of the PRE engine. */
-struct PreStats
+/** Statistics of the PRE engine, reported under "pre." paths. */
+struct PreStats : StatRecord<PreStats>
 {
-    uint64_t intervals = 0;       //!< runahead episodes
-    uint64_t insts_examined = 0;  //!< future µops walked
-    uint64_t prefetches = 0;      //!< loads issued in runahead
-    uint64_t skipped_dependent = 0; //!< loads whose inputs missed the
-                                    //!< interval (>= 1st indirection)
+    uint64_t intervals = 0;
+    uint64_t insts_examined = 0;
+    uint64_t prefetches = 0;
+    uint64_t skipped_dependent = 0;
 
-    /** Register the reported statistics under "pre." paths. */
-    void registerIn(StatsRegistry &reg) const;
+    static constexpr std::tuple fields{
+        stat("intervals", "pre.intervals", "PRE runahead episodes",
+             &PreStats::intervals),
+        stat("insts_examined", nullptr, "future µops walked",
+             &PreStats::insts_examined),
+        stat("prefetches", "pre.prefetches", "loads issued during PRE",
+             &PreStats::prefetches),
+        stat("skipped_dependent", "pre.skipped_dependent",
+             "loads skipped past the first indirection level",
+             &PreStats::skipped_dependent),
+    };
 };
+static_assert(statTableBytes<PreStats>() == sizeof(PreStats));
 
 /** The PRE engine. */
 class PreEngine : public RunaheadEngine

@@ -2,28 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "sim/digest.hh"
 
 namespace vrsim
 {
-
-void
-VrStats::registerIn(StatsRegistry &reg) const
-{
-    reg.addCounter("vr.triggers", "full-window stalls VR saw") +=
-        triggers;
-    reg.addCounter("vr.vectorizations",
-                   "stalls where a striding load was vectorized") +=
-        vectorizations;
-    reg.addCounter("vr.lanes", "vector lanes spawned") += lanes_spawned;
-    reg.addCounter("vr.prefetches", "prefetches issued by VR lanes") +=
-        prefetches;
-    reg.addCounter("vr.lanes_invalidated",
-                   "control-divergent lanes invalidated") +=
-        lanes_invalidated;
-}
 
 void
 VectorRunahead::onInstruction(const StepInfo &si, const CpuState &after,

@@ -17,27 +17,42 @@
 
 #include "core/engine.hh"
 #include "mem/stride_rpt.hh"
+#include "obs/stat_table.hh"
 #include "runahead/lane_executor.hh"
 #include "sim/config.hh"
 
 namespace vrsim
 {
 
-class StatsRegistry;
-
-/** Statistics of the VR engine. */
-struct VrStats
+/** Statistics of the VR engine, reported under "vr." paths. */
+struct VrStats : StatRecord<VrStats>
 {
-    uint64_t triggers = 0;        //!< full-ROB stalls seen
-    uint64_t vectorizations = 0;  //!< stalls where a stride was found
+    uint64_t triggers = 0;
+    uint64_t vectorizations = 0;
     uint64_t lanes_spawned = 0;
     uint64_t prefetches = 0;
-    uint64_t lanes_invalidated = 0; //!< control-divergent lanes killed
-    uint64_t delayed_term_cycles = 0; //!< commit stalled past head fill
+    uint64_t lanes_invalidated = 0;
+    uint64_t delayed_term_cycles = 0;
 
-    /** Register the reported statistics under "vr." paths. */
-    void registerIn(StatsRegistry &reg) const;
+    static constexpr std::tuple fields{
+        stat("triggers", "vr.triggers", "full-window stalls VR saw",
+             &VrStats::triggers),
+        stat("vectorizations", "vr.vectorizations",
+             "stalls where a striding load was vectorized",
+             &VrStats::vectorizations),
+        stat("lanes_spawned", "vr.lanes", "vector lanes spawned",
+             &VrStats::lanes_spawned),
+        stat("prefetches", "vr.prefetches", "prefetches issued by VR lanes",
+             &VrStats::prefetches),
+        stat("lanes_invalidated", "vr.lanes_invalidated",
+             "control-divergent lanes invalidated",
+             &VrStats::lanes_invalidated),
+        stat("delayed_term_cycles", nullptr,
+             "commit cycles stalled past the head fill",
+             &VrStats::delayed_term_cycles),
+    };
 };
+static_assert(statTableBytes<VrStats>() == sizeof(VrStats));
 
 /** The Vector Runahead engine. */
 class VectorRunahead : public RunaheadEngine

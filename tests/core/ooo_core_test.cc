@@ -320,9 +320,10 @@ TEST(OooCoreTest, IcacheMissesOnlyOnFreshLines)
     EXPECT_LE(st.icache_misses, 2u);
 }
 
-TEST(OooCoreTest, BtbMissesOncePerTakenTarget)
+/** A 1000-iteration counted loop: one taken backward branch. */
+Program
+btbLoop()
 {
-    // The loop's backward branch misses the BTB exactly once.
     ProgramBuilder b("btb");
     b.movi(1, 0);
     auto top = b.here();
@@ -330,13 +331,34 @@ TEST(OooCoreTest, BtbMissesOncePerTakenTarget)
     b.cmplti(2, 1, 1000);
     b.br(2, top);
     b.halt();
-    Program p = b.build();
+    return b.build();
+}
+
+TEST(OooCoreTest, BtbMissesOncePerTakenTarget)
+{
+    // The loop's backward branch misses the BTB exactly once.
+    Program p = btbLoop();
     MemoryImage img;
     SystemConfig cfg = quietCfg();
     MemoryHierarchy hier(cfg, img);
     OooCore core(cfg, p, img, hier);
     CoreStats st = core.run();
     EXPECT_EQ(st.btb_misses, 1u);
+}
+
+TEST(OooCoreTest, WarmupExcludesBtbAndIcacheMisses)
+{
+    // The loop's only BTB miss and only L1I miss both fall in its
+    // first iteration, so a warmup past it leaves neither in the ROI.
+    Program p = btbLoop();
+    MemoryImage img;
+    SystemConfig cfg = quietCfg();
+    MemoryHierarchy hier(cfg, img);
+    OooCore core(cfg, p, img, hier);
+    CoreStats st = core.run(CpuState{}, 0, /*warmup_insts=*/10);
+    EXPECT_EQ(st.btb_misses, 0u);
+    EXPECT_EQ(st.icache_misses, 0u);
+    EXPECT_GT(st.instructions, 2900u);
 }
 
 TEST(OooCoreTest, CpiStackSumsToCpi)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Guardrail-subsystem tests: the forward-progress watchdog must
- * terminate wedged runs with a structured HangError, and the guarded
- * entry points must fold the whole error taxonomy into per-run status
- * records so sweeps continue past failures (docs/robustness.md).
+ * terminate wedged runs with a structured HangError, and runGuarded
+ * must fold the whole error taxonomy into per-run status records so
+ * sweeps continue past failures (docs/robustness.md).
  */
 
 #include <gtest/gtest.h>
@@ -90,7 +90,9 @@ TEST(GuardrailTest, GuardedRunRecordsHang)
     Workload w = wedgedWorkload();
     SystemConfig cfg = SystemConfig::benchScale();
     cfg.watchdog_cycles = 50'000;
-    SimResult r = runWorkloadGuarded(w, Technique::OoO, cfg);
+    SimResult r = runGuarded(w.name, Technique::OoO, [&] {
+        return runWorkload(w, Technique::OoO, cfg);
+    });
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status, SimStatus::Hang);
     EXPECT_EQ(r.workload, "wedged");
@@ -101,9 +103,10 @@ TEST(GuardrailTest, GuardedRunRecordsFatalConfig)
 {
     SystemConfig cfg = SystemConfig::benchScale();
     cfg.core.rob_size = 0;
-    SimResult r = runSimulationGuarded("camel", Technique::OoO, cfg,
-                                       GraphScale{}, HpcDbScale{},
-                                       /*max_insts=*/5'000);
+    SimResult r = runGuarded("camel", Technique::OoO, [&] {
+        return runSimulation("camel", Technique::OoO, cfg, GraphScale{},
+                             HpcDbScale{}, /*max_insts=*/5'000);
+    });
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status, SimStatus::Fatal);
     EXPECT_NE(r.status_message.find("rob_size"), std::string::npos);
@@ -122,13 +125,15 @@ TEST(GuardrailTest, GuardedSweepContinuesPastFailure)
     for (int i = 0; i < 3; i++) {
         if (i == 1) {
             Workload w = wedgedWorkload();
-            results.push_back(
-                runWorkloadGuarded(w, Technique::OoO, hung));
+            results.push_back(runGuarded(w.name, Technique::OoO, [&] {
+                return runWorkload(w, Technique::OoO, hung);
+            }));
         } else {
-            results.push_back(runSimulationGuarded(
-                "camel", i == 0 ? Technique::OoO : Technique::Dvr,
-                good, GraphScale{}, HpcDbScale{},
-                /*max_insts=*/5'000));
+            Technique t = i == 0 ? Technique::OoO : Technique::Dvr;
+            results.push_back(runGuarded("camel", t, [&] {
+                return runSimulation("camel", t, good, GraphScale{},
+                                     HpcDbScale{}, /*max_insts=*/5'000);
+            }));
         }
     }
 
@@ -145,7 +150,9 @@ TEST(GuardrailTest, FailedRunsRenderStatusInReportAndCsv)
     Workload w = wedgedWorkload();
     SystemConfig cfg = SystemConfig::benchScale();
     cfg.watchdog_cycles = 50'000;
-    SimResult r = runWorkloadGuarded(w, Technique::OoO, cfg);
+    SimResult r = runGuarded(w.name, Technique::OoO, [&] {
+        return runWorkload(w, Technique::OoO, cfg);
+    });
     ASSERT_FALSE(r.ok());
 
     std::ostringstream rep;

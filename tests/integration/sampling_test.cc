@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "driver/simulation.hh"
 #include "sim/digest.hh"
@@ -69,6 +70,77 @@ TEST(SamplingIntegrationTest, SampleAndWarmupAreMutuallyExclusive)
                              SystemConfig::benchScale(), 8000,
                              /*warmup=*/500, nullptr, nullptr, plan),
                  FatalError);
+}
+
+TEST(SegmentScheduleTest, EveryPlanIsOneSegmentList)
+{
+    using K = Segment::Kind;
+    auto shape = [](const SegmentSchedule &s) {
+        std::vector<std::tuple<K, uint64_t, uint64_t, bool>> out;
+        for (uint64_t k = 0; k < s.size(); k++)
+            out.emplace_back(s[k].kind, s[k].insts, s[k].warm, s[k].window);
+        return out;
+    };
+    using V = decltype(shape(SegmentSchedule(1, 0, {})));
+    EXPECT_EQ(shape(SegmentSchedule(9000, 1000, {})),
+              (V{{K::Detailed, 9000, 1000, false}}));
+
+    SamplingPlan plan;
+    plan.ff_insts = 500;
+    EXPECT_EQ(shape(SegmentSchedule(9000, 1000, plan)),
+              (V{{K::Ff, 500, 0, false}, {K::Detailed, 9000, 1000, false}}));
+
+    plan = SamplingPlan::parse("100:1000:200");
+    plan.ff_insts = 500;
+    EXPECT_EQ(shape(SegmentSchedule(2500, 0, plan)),
+              (V{{K::Ff, 500, 0, false},
+                 {K::FfWarm, 700, 0, false}, {K::Detailed, 300, 200, true},
+                 {K::FfWarm, 700, 0, false}, {K::Detailed, 300, 200, true}}));
+    EXPECT_THROW(SegmentSchedule(999, 0, plan), FatalError);
+    EXPECT_THROW(SegmentSchedule(9000, 10, plan), FatalError);
+}
+
+/** A loop that halts after about 2700 instructions. */
+Workload
+haltingWorkload()
+{
+    Workload w;
+    w.name = "halting";
+    ProgramBuilder b(w.name);
+    b.movi(1, 0);
+    auto top = b.here();
+    b.addi(1, 1, 1);
+    b.cmplti(2, 1, 899);
+    b.br(2, top);
+    b.halt();
+    w.prog = b.build();
+    return w;
+}
+
+TEST(SamplingIntegrationTest, HaltInsideWarmWindow)
+{
+    const SystemConfig cfg = SystemConfig::benchScale();
+    // A plain run that halts inside its --warmup reports the whole
+    // run, exactly as if it had no warmup.
+    Workload w0 = haltingWorkload(), w1 = haltingWorkload();
+    SimResult whole = runWorkload(w0, Technique::OoO, cfg, 10000);
+    SimResult warm = runWorkload(w1, Technique::OoO, cfg, 10000, 5000);
+    EXPECT_GT(whole.core.instructions, 2600u);
+    EXPECT_EQ(warm.core.instructions, whole.core.instructions);
+    EXPECT_EQ(warm.core.cycles, whole.core.cycles);
+    EXPECT_EQ(warm.mem.demand_accesses, whole.mem.demand_accesses);
+
+    // A sampled run that halts inside the third period's warm window
+    // (insts 2600-2800) keeps the first two windows and drops it.
+    Workload w2 = haltingWorkload();
+    SimResult samp = runWorkload(w2, Technique::OoO, cfg, 10000, 0,
+                                 nullptr, nullptr,
+                                 SamplingPlan::parse("200:1000:200"));
+    ASSERT_TRUE(samp.sample.has_value());
+    EXPECT_EQ(samp.sample->intervals, 2u);
+    EXPECT_EQ(samp.sample->warm_insts, 400u);
+    EXPECT_EQ(samp.sample->ff_insts, 3 * 600u);
+    EXPECT_EQ(samp.core.instructions, 400u);
 }
 
 /**
