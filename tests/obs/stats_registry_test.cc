@@ -158,5 +158,140 @@ TEST(StatsRegistryTest, NodeReferencesStayValidAcrossInserts)
     EXPECT_EQ(reg.at("a.a").count(), 1u);
 }
 
+// Per-kind suites: the Scalar/Average/Histogram/StatGroup cases of the
+// former sim/stats.hh, run against the registry nodes that replaced it.
+
+TEST(ScalarTest, IncrementAndAssign)
+{
+    StatsRegistry reg;
+    StatNode &hits = reg.addCounter("hits");
+    ++hits;
+    ++hits;
+    hits += 3;
+    EXPECT_EQ(hits.count(), 5u);
+    StatNode &level = reg.addGauge("level");
+    level = 5.5;
+    EXPECT_DOUBLE_EQ(reg.value("level"), 5.5);
+    level = 1.0;
+    EXPECT_DOUBLE_EQ(reg.value("level"), 1.0);
+}
+
+TEST(AverageTest, MeanOfSamples)
+{
+    StatsRegistry reg;
+    StatNode &a = reg.addAverage("lat");
+    EXPECT_DOUBLE_EQ(reg.value("lat"), 0.0);  // no samples yet
+    a.sample(10);
+    a.sample(20);
+    a.sample(30);
+    EXPECT_DOUBLE_EQ(reg.value("lat"), 20.0);
+    EXPECT_EQ(a.samples(), 3u);
+}
+
+TEST(AverageTest, DescriptionAndDump)
+{
+    StatsRegistry reg;
+    StatNode &a = reg.addAverage("lat", "load-to-use latency");
+    EXPECT_EQ(a.path(), "lat");
+    EXPECT_EQ(a.desc(), "load-to-use latency");
+    a.sample(10);
+    a.sample(30);
+    // A separator inside a description must not split the CSV row.
+    reg.addAverage("x", "a, b").sample(1);
+    std::ostringstream os;
+    reg.dumpCsv(os);
+    EXPECT_EQ(os.str(), "path,kind,value,description\n"
+                        "lat,average,20,load-to-use latency\n"
+                        "x,average,1,a; b\n");
+}
+
+TEST(HistogramTest, NameGeometryAndDump)
+{
+    StatsRegistry reg;
+    StatNode &h = reg.addHistogram("occ", 2, 10.0);
+    EXPECT_EQ(h.path(), "occ");
+    EXPECT_EQ(h.kind(), StatKind::Histogram);
+    EXPECT_DOUBLE_EQ(h.bucketWidth(), 10.0);
+    h.sample(5);
+    h.sample(25);  // overflow bucket
+    std::ostringstream os;
+    reg.dumpJson(os);
+    const JsonValue occ = JsonValue::parse("dump", os.str()).at("occ");
+    EXPECT_DOUBLE_EQ(occ.at("mean").asF64(), 15.0);
+    EXPECT_EQ(occ.at("total").asU64(), 2u);
+    const auto &buckets = occ.at("buckets").asArray();
+    ASSERT_EQ(buckets.size(), 3u);
+    EXPECT_EQ(buckets[0].asU64(), 1u);
+    EXPECT_EQ(buckets[1].asU64(), 0u);
+    EXPECT_EQ(buckets[2].asU64(), 1u);
+}
+
+TEST(HistogramTest, BucketingAndOverflow)
+{
+    StatsRegistry reg;
+    StatNode &h = reg.addHistogram("occ", 4, 10.0);  // [0,10)..[30,40)
+    h.sample(5);
+    h.sample(15);
+    h.sample(15);
+    h.sample(100);  // overflow
+    EXPECT_EQ(h.samples(), 4u);
+    EXPECT_EQ(h.buckets(), (std::vector<uint64_t>{1, 2, 0, 0, 1}));
+}
+
+TEST(HistogramTest, WeightedSamplesAndMean)
+{
+    StatsRegistry reg;
+    StatNode &h = reg.addHistogram("w", 10, 1.0);
+    h.sample(2, 3);  // three samples of value 2
+    h.sample(8, 1);
+    EXPECT_EQ(h.samples(), 4u);
+    EXPECT_EQ(h.buckets()[2], 3u);
+    EXPECT_EQ(h.buckets()[8], 1u);
+    EXPECT_DOUBLE_EQ(reg.value("w"), (2 * 3 + 8) / 4.0);
+}
+
+TEST(HistogramTest, NegativeValuesClampToFirstBucket)
+{
+    StatsRegistry reg;
+    StatNode &h = reg.addHistogram("n", 4, 1.0);
+    h.sample(-3.0);
+    EXPECT_EQ(h.buckets()[0], 1u);
+}
+
+TEST(HistogramTest, BadGeometryPanics)
+{
+    StatsRegistry reg;
+    EXPECT_THROW(reg.addHistogram("bad", 0, 1.0), PanicError);
+    EXPECT_THROW(reg.addHistogram("bad", 4, 0.0), PanicError);
+    EXPECT_FALSE(reg.has("bad"));
+}
+
+TEST(StatGroupTest, CreateLookupDump)
+{
+    StatsRegistry reg;
+    reg.addCounter("core.cycles") += 100;
+    reg.addCounter("core.insts") += 250;
+    EXPECT_TRUE(reg.has("core.cycles"));
+    EXPECT_FALSE(reg.has("core.nope"));
+    EXPECT_DOUBLE_EQ(reg.value("core.insts"), 250.0);
+    EXPECT_THROW(reg.value("core.nope"), FatalError);
+
+    std::ostringstream os;
+    reg.dumpCsv(os);
+    EXPECT_NE(os.str().find("core.cycles,counter,100"), std::string::npos);
+    EXPECT_NE(os.str().find("core.insts,counter,250"), std::string::npos);
+}
+
+TEST(StatGroupTest, ScalarIsStableAcrossInserts)
+{
+    StatsRegistry reg;
+    StatNode &a = reg.addGauge("g.a");
+    a = 1.0;
+    for (int i = 0; i < 100; i++)
+        reg.addCounter("g.s" + std::to_string(i));
+    a = 2.0;
+    EXPECT_DOUBLE_EQ(reg.value("g.a"), 2.0);
+}
+
 } // namespace
 } // namespace vrsim

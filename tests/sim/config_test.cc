@@ -95,6 +95,16 @@ struct BadConfigCase
     std::function<void(SystemConfig &)> mutate;
 };
 
+/** Print a case as its name. gtest's default printer dumps the raw
+ *  bytes, which hold the addresses of `name` and the lambda; ctest
+ *  copies that dump into the test name, and address-space
+ *  randomisation would change it on every build. */
+void
+PrintTo(const BadConfigCase &c, std::ostream *os)
+{
+    *os << '"' << c.name << '"';
+}
+
 class ConfigRejection
     : public ::testing::TestWithParam<BadConfigCase>
 {
