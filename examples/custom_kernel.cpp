@@ -68,7 +68,12 @@ main()
     for (Technique t : {Technique::OoO, Technique::Vr, Technique::Dvr,
                         Technique::Oracle}) {
         Workload wr = w;   // fresh copy: stores mutate the image
-        SimResult r = runWorkload(wr, t, cfg, 100'000);
+        SimResult r = simulate(
+            {.technique = t, .cfg = cfg, .max_insts = 100'000}, wr);
+        if (!r.ok()) {
+            std::cerr << r.status_message << "\n";
+            return 1;
+        }
         std::printf("%-8s IPC %.3f  MLP %.1f\n",
                     techniqueName(t).c_str(), r.ipc(), r.mlp);
     }

@@ -20,7 +20,6 @@ main()
     GraphScale gs;
     gs.nodes = 1 << 14;
     gs.avg_degree = 16;
-    HpcDbScale hs;
 
     const Technique techs[] = {Technique::OoO, Technique::Pre,
                                Technique::Imp, Technique::Vr,
@@ -30,7 +29,13 @@ main()
         std::cout << "== " << spec << " ==\n";
         double base = 0;
         for (Technique t : techs) {
-            SimResult r = runSimulation(spec, t, cfg, gs, hs, 120'000);
+            SimResult r = simulate({.spec = spec, .technique = t,
+                                    .cfg = cfg, .gscale = gs,
+                                    .max_insts = 120'000});
+            if (!r.ok()) {
+                std::cerr << r.status_message << "\n";
+                return 1;
+            }
             if (t == Technique::OoO)
                 base = r.ipc();
             std::printf("%-8s IPC %-8.3f speedup %-6.2f MLP %-6.2f "

@@ -6,6 +6,7 @@
  * runahead across many independent probes.
  */
 
+#include <cstdlib>
 #include <iostream>
 
 #include "driver/simulation.hh"
@@ -16,18 +17,24 @@ int
 main()
 {
     SystemConfig cfg = SystemConfig::benchScale();
-    GraphScale gs;
     HpcDbScale hs;
     hs.elements = 1 << 16;
 
     for (const char *spec : {"hj2", "hj8"}) {
         std::cout << "== " << spec << " (hash-join probe) ==\n";
-        SimResult ooo = runSimulation(spec, Technique::OoO, cfg, gs,
-                                      hs, 120'000);
-        SimResult vr = runSimulation(spec, Technique::Vr, cfg, gs, hs,
-                                     120'000);
-        SimResult dvr = runSimulation(spec, Technique::Dvr, cfg, gs,
-                                      hs, 120'000);
+        auto run = [&](Technique t) {
+            SimResult r = simulate({.spec = spec, .technique = t,
+                                    .cfg = cfg, .hscale = hs,
+                                    .max_insts = 120'000});
+            if (!r.ok()) {
+                std::cerr << r.status_message << "\n";
+                std::exit(1);
+            }
+            return r;
+        };
+        SimResult ooo = run(Technique::OoO);
+        SimResult vr = run(Technique::Vr);
+        SimResult dvr = run(Technique::Dvr);
         std::printf("OoO IPC %.3f | VR %.2fx | DVR %.2fx | "
                     "MLP %.1f -> %.1f\n\n",
                     ooo.ipc(), vr.ipc() / ooo.ipc(),

@@ -17,16 +17,21 @@ main()
 {
     SystemConfig cfg = SystemConfig::benchScale();
     HpcDbScale scale;            // ~64K-element tables
-    GraphScale gscale;
 
     std::cout << "vrsim quickstart: camel (Fig. 1 indirect chain)\n\n";
     printConfig(std::cout, cfg);
     std::cout << "\n";
 
-    SimResult ooo = runSimulation("camel", Technique::OoO, cfg, gscale,
-                                  scale, 100'000);
-    SimResult dvr = runSimulation("camel", Technique::Dvr, cfg, gscale,
-                                  scale, 100'000);
+    RunPoint p{.spec = "camel", .cfg = cfg, .hscale = scale,
+               .max_insts = 100'000};
+    SimResult ooo = simulate(p);
+    p.technique = Technique::Dvr;
+    SimResult dvr = simulate(p);
+    // A run that fails says so in its status; simulate() never throws.
+    if (!ooo.ok() || !dvr.ok()) {
+        std::cerr << (ooo.ok() ? dvr : ooo).status_message << "\n";
+        return 1;
+    }
 
     std::cout << "OoO  IPC: " << ooo.ipc() << "  (L1 hit rate "
               << 100.0 * ooo.mem.demand_l1_hits /

@@ -30,7 +30,13 @@ main(int argc, char **argv)
                                Technique::Dvr, Technique::Oracle};
     double base = 0;
     for (Technique t : techs) {
-        SimResult r = runSimulation(spec, t, cfg, gs, hs, 100'000);
+        SimResult r = simulate({.spec = spec, .technique = t, .cfg = cfg,
+                                .gscale = gs, .hscale = hs,
+                                .max_insts = 100'000});
+        if (!r.ok()) {
+            std::cerr << r.status_message << "\n";
+            return 1;
+        }
         if (t == Technique::OoO)
             base = r.ipc();
         printReport(std::cout, r, cfg);

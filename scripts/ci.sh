@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build and run the unit/integration test suite three
 # ways — plain (with VRSIM_JOBS=2 so every sweep-driven test exercises
-# the parallel executor), under AddressSanitizer + UBSan, and under
+# the parallel executor; followed by `benchmark/run.sh --smoke`, which
+# builds the repository benchmark against the simulator's current API
+# and self-tests it), under AddressSanitizer + UBSan, and under
 # ThreadSanitizer for the concurrency-bearing subset (sweep runner,
 # workload cache) (VRSIM_SANITIZE, see CMakeLists.txt) — then runs a
 # differential-check stage under standalone UBSan: a small real grid
@@ -28,6 +30,12 @@ echo "=== plain build (VRSIM_JOBS=2) ==="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ci -j "$JOBS"
 VRSIM_JOBS=2 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
+
+echo "=== benchmark self-test (benchmark/run.sh --smoke) ==="
+# benchmark/ calls OooCore, SweepRunner, RunPoint and SamplingPlan
+# directly, so an API change that breaks it must fail here, not on the
+# next benchmark run.
+bash benchmark/run.sh --smoke
 
 echo "=== sanitized build (ASan + UBSan) ==="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

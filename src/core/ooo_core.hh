@@ -236,9 +236,6 @@ class OooCore
         l1i_ = s.l1i;
     }
 
-    const BranchPredictor &branchPredictor() const { return bp_; }
-    const Btb &btb() const { return btb_; }
-
     /**
      * Attach a differential-oracle digest (sim/digest.hh): the commit
      * path feeds it every retired instruction's architectural effects,

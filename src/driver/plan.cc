@@ -1,113 +1,9 @@
 #include "driver/plan.hh"
 
-#include <csignal>
-
 #include "driver/report.hh"
-#include "sim/parse.hh"
 
 namespace vrsim
 {
-
-const char *
-injectKindName(InjectKind k)
-{
-    switch (k) {
-      case InjectKind::None: return "none";
-      case InjectKind::Fatal: return "fatal";
-      case InjectKind::Panic: return "panic";
-      case InjectKind::Hang: return "hang";
-      case InjectKind::Diverge: return "diverge";
-      case InjectKind::Segv: return "segv";
-      case InjectKind::Oom: return "oom";
-      case InjectKind::Spin: return "spin";
-      case InjectKind::ExitCode: return "exit";
-      case InjectKind::KillSelf: return "killself";
-    }
-    panic("unknown InjectKind");
-}
-
-InjectKind
-injectKindFromName(const std::string &name)
-{
-    static const InjectKind all[] = {
-        InjectKind::Fatal,    InjectKind::Panic,
-        InjectKind::Hang,     InjectKind::Diverge,
-        InjectKind::Segv,     InjectKind::Oom,
-        InjectKind::Spin,     InjectKind::ExitCode,
-        InjectKind::KillSelf,
-    };
-    std::string valid;
-    for (InjectKind k : all) {
-        if (injectKindName(k) == name)
-            return k;
-        if (!valid.empty())
-            valid += ", ";
-        valid += injectKindName(k);
-    }
-    fatal("unknown failure kind '" + name + "' (valid: " + valid + ")");
-}
-
-InjectKind
-injectKindParse(const std::string &spec, uint32_t &arg)
-{
-    arg = 0;
-    size_t colon = spec.find(':');
-    InjectKind kind = injectKindFromName(spec.substr(0, colon));
-    bool takes_arg =
-        kind == InjectKind::ExitCode || kind == InjectKind::KillSelf;
-    if (colon == std::string::npos) {
-        if (takes_arg)
-            fatal("failure kind '" + spec + "' needs an argument (" +
-                  std::string(injectKindName(kind)) + ":N)");
-        return kind;
-    }
-    if (!takes_arg)
-        fatal("failure kind '" + std::string(injectKindName(kind)) +
-              "' takes no argument (got '" + spec + "')");
-    arg = parseU32("--inject-fail " + std::string(injectKindName(kind)),
-                   spec.substr(colon + 1).c_str());
-    if (kind == InjectKind::ExitCode && arg > 255)
-        fatal("exit:N exit code must be 0..255, got " +
-              std::to_string(arg));
-    if (kind == InjectKind::KillSelf) {
-        if (arg == 0 || arg > 64)
-            fatal("killself:SIG signal must be 1..64, got " +
-                  std::to_string(arg));
-        // A stop signal is not a death: the child would sit with its
-        // pipes open consuming no CPU until the supervisor's stopped-
-        // child sweep SIGKILLs it, which tests nothing useful.
-        if (arg == SIGSTOP || arg == SIGTSTP || arg == SIGTTIN ||
-            arg == SIGTTOU)
-            fatal("killself:SIG rejects stop signals (signal " +
-                  std::to_string(arg) + " would suspend the cell, "
-                  "not kill it)");
-    }
-    return kind;
-}
-
-bool
-injectKindIsProcessGrade(InjectKind k)
-{
-    switch (k) {
-      case InjectKind::Segv:
-      case InjectKind::Oom:
-      case InjectKind::Spin:
-      case InjectKind::ExitCode:
-      case InjectKind::KillSelf:
-        return true;
-      default:
-        return false;
-    }
-}
-
-std::string
-RunPoint::id() const
-{
-    std::string s = spec + ":" + column;
-    if (!variant.empty())
-        s += ":" + variant;
-    return s;
-}
 
 RunPlan &
 RunPlan::add(std::vector<std::string> specs,
@@ -130,23 +26,15 @@ RunPlan::points() const
         for (const auto &spec : g.specs) {
             for (const TechColumn &col : g.columns) {
                 for (const ConfigVariant &var : g.variants) {
-                    RunPoint p;
-                    p.spec = spec;
-                    p.technique = col.tech;
-                    p.column = col.label;
-                    p.variant = var.label;
-                    p.features = col.features;
-                    p.cfg = base_;
+                    RunPoint p{.spec = spec, .technique = col.tech,
+                               .column = col.label, .variant = var.label,
+                               .features = col.features, .cfg = base_,
+                               .gscale = gscale_, .hscale = hscale_,
+                               .max_insts = roi_ + warmup_,
+                               .warmup = warmup_, .sampling = sampling_};
                     if (var.tweak)
                         var.tweak(p.cfg);
-                    p.gscale = gscale_;
-                    p.hscale = hscale_;
-                    p.max_insts = roi_ + warmup_;
-                    p.warmup = warmup_;
-                    p.sampling = sampling_;
-                    p.inject_fail =
-                        inject_fail_ && *inject_fail_ == col.tech;
-                    if (p.inject_fail) {
+                    if (inject_fail_ && *inject_fail_ == col.tech) {
                         p.inject_kind = inject_kind_;
                         p.inject_arg = inject_arg_;
                     }

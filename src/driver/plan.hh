@@ -53,72 +53,6 @@ struct ConfigVariant
 };
 
 /**
- * Which failure class an injected-failure point raises (the
- * `--inject-fail NAME[:KIND]` contract): each kind exercises one leg
- * of the error taxonomy end to end — exception, status, exit code,
- * repro bundle. Diverge runs the point for real but poisons its
- * digest so the differential-check path is exercised too.
- */
-enum class InjectKind : uint8_t
-{
-    None,
-    Fatal,
-    Panic,
-    Hang,
-    Diverge,
-    // Process-grade kinds (the chaos harness): these kill or wedge the
-    // whole process instead of raising a guarded exception, so they
-    // only make sense under --isolation process, where the child dies
-    // and the supervising parent records the death. Under thread
-    // isolation they are rejected with fatal().
-    Segv,      //!< dereference null: die by SIGSEGV
-    Oom,       //!< allocate until the RLIMIT_AS cap (or a self-bound)
-    Spin,      //!< infinite loop: die by deadline / RLIMIT_CPU
-    ExitCode,  //!< _exit(arg) without writing a result
-    KillSelf,  //!< raise(arg): die by an arbitrary signal
-};
-
-/** Printable inject-kind name ("fatal", "panic", ...). */
-const char *injectKindName(InjectKind k);
-
-/** Parse an inject kind; fatal() on unknown names. */
-InjectKind injectKindFromName(const std::string &name);
-
-/**
- * Parse an inject-kind spec with an optional argument: "exit:3" and
- * "killself:9" carry one, the other kinds are bare names. fatal() on
- * unknown names, a missing/malformed argument, or an argument given
- * to a kind that takes none.
- */
-InjectKind injectKindParse(const std::string &spec, uint32_t &arg);
-
-/** Does this kind kill/wedge the process rather than raise a guarded
- *  exception? Such kinds require --isolation process. */
-bool injectKindIsProcessGrade(InjectKind k);
-
-/** One fully resolved grid point of a plan. */
-struct RunPoint
-{
-    std::string spec;       //!< workload spec ("bfs/KR", "camel", ...)
-    Technique technique = Technique::OoO;
-    std::string column;     //!< technique-column label
-    std::string variant;    //!< config-variant label ("" = base)
-    std::optional<DvrFeatures> features;
-    SystemConfig cfg;       //!< base config with the variant applied
-    GraphScale gscale;
-    HpcDbScale hscale;
-    uint64_t max_insts = 0;
-    uint64_t warmup = 0;
-    SamplingPlan sampling;     //!< fast-forward / interval sampling
-    bool inject_fail = false;  //!< raise inject_kind instead of running
-    InjectKind inject_kind = InjectKind::None;
-    uint32_t inject_arg = 0;   //!< exit code / signal for exit, killself
-
-    /** Stable point ID: "spec:column" or "spec:column:variant". */
-    std::string id() const;
-};
-
-/**
  * A declarative sweep description. Build it from grids:
  *
  *   RunPlan plan(env.cfg);
@@ -213,10 +147,6 @@ class RunPlan
 
     /** Number of points without materializing them. */
     size_t size() const;
-
-    const SystemConfig &baseConfig() const { return base_; }
-    const GraphScale &graphScale() const { return gscale_; }
-    const HpcDbScale &hpcdbScale() const { return hscale_; }
 
   private:
     struct Grid

@@ -295,24 +295,6 @@ fromJson(const JsonValue &v)
     return t;
 }
 
-std::string
-digestToJson(const DigestRecord &d)
-{
-    std::string iv = "[";
-    for (size_t i = 0; i < d.intervals.size(); i++) {
-        if (i)
-            iv += ",";
-        iv += hex64(d.intervals[i]);
-    }
-    iv += "]";
-    return Obj{}
-        .field("interval", u64(d.interval))
-        .field("instructions", u64(d.instructions))
-        .field("final_digest", hex64(d.final_digest))
-        .field("intervals", iv)
-        .done();
-}
-
 DigestRecord
 digestFromJson(const JsonValue &v)
 {
@@ -349,38 +331,6 @@ divergenceFromJson(const JsonValue &v)
     return d;
 }
 
-std::string
-resultToJsonBody(const SimResult &r)
-{
-    Obj o;
-    o.field("workload", str(r.workload))
-        .field("technique", str(techniqueName(r.technique)))
-        .field("status", str(simStatusName(r.status)))
-        .field("status_message", str(r.status_message))
-        .field("core", jsonOf(r.core))
-        .field("mem", jsonOf(r.mem))
-        .field("mlp", f64(r.mlp));
-    // Process-isolation fields: written only when set so journals and
-    // bundles from thread-mode sweeps stay byte-identical to before.
-    if (r.term_signal)
-        o.field("term_signal", u64(uint64_t(r.term_signal)));
-    if (r.rss_peak_kb)
-        o.field("rss_peak_kb", u64(r.rss_peak_kb));
-    if (r.pre)
-        o.field("pre", jsonOf(*r.pre));
-    if (r.vr)
-        o.field("vr", jsonOf(*r.vr));
-    if (r.dvr)
-        o.field("dvr", jsonOf(*r.dvr));
-    if (r.digest)
-        o.field("digest", digestToJson(*r.digest));
-    // Sampled runs only (only-when-set keeps pre-sampling journals
-    // and bundles byte-identical).
-    if (r.sample)
-        o.field("sample", jsonOf(*r.sample));
-    return o.done();
-}
-
 SimResult
 resultFromJsonValue(const JsonValue &v)
 {
@@ -409,34 +359,6 @@ resultFromJsonValue(const JsonValue &v)
     return r;
 }
 
-std::string
-pointToJsonBody(const RunPoint &p)
-{
-    Obj o;
-    o.field("spec", str(p.spec))
-        .field("technique", str(techniqueName(p.technique)))
-        .field("column", str(p.column))
-        .field("variant", str(p.variant));
-    if (p.features)
-        o.field("features", jsonOf(*p.features));
-    o.field("cfg", jsonOf(p.cfg))
-        .field("gscale", jsonOf(p.gscale))
-        .field("hscale", jsonOf(p.hscale))
-        .field("max_insts", u64(p.max_insts))
-        .field("warmup", u64(p.warmup));
-    // Only-when-set: points without a sampling plan keep their
-    // pre-sampling serialization (and plan fingerprints) unchanged.
-    if (p.sampling.enabled())
-        o.field("sampling", jsonOf(p.sampling));
-    o.field("inject_fail", boolean(p.inject_fail));
-    if (p.inject_fail) {
-        o.field("inject_kind", str(injectKindName(p.inject_kind)));
-        if (p.inject_arg)
-            o.field("inject_arg", u64(p.inject_arg));
-    }
-    return o.done();
-}
-
 RunPoint
 pointFromJsonValue(const JsonValue &v)
 {
@@ -456,10 +378,8 @@ pointFromJsonValue(const JsonValue &v)
         p.sampling = fromJson<SamplingPlan>(*s);
         p.sampling.validate();
     }
-    p.inject_fail = v.at("inject_fail").asBool();
-    p.inject_kind = p.inject_fail
-        ? injectKindFromName(v.at("inject_kind").asString())
-        : InjectKind::None;
+    if (v.at("inject_fail").asBool())
+        p.inject_kind = injectKindFromName(v.at("inject_kind").asString());
     if (const JsonValue *a = v.find("inject_arg"))
         p.inject_arg = uint32_t(a->asU64());
     return p;
@@ -510,7 +430,33 @@ simStatusFromName(const std::string &name)
 std::string
 resultToJson(const SimResult &r)
 {
-    return resultToJsonBody(r);
+    Obj o;
+    o.field("workload", str(r.workload))
+        .field("technique", str(techniqueName(r.technique)))
+        .field("status", str(simStatusName(r.status)))
+        .field("status_message", str(r.status_message))
+        .field("core", jsonOf(r.core))
+        .field("mem", jsonOf(r.mem))
+        .field("mlp", f64(r.mlp));
+    // Process-isolation fields: written only when set so journals and
+    // bundles from thread-mode sweeps stay byte-identical to before.
+    if (r.term_signal)
+        o.field("term_signal", u64(uint64_t(r.term_signal)));
+    if (r.rss_peak_kb)
+        o.field("rss_peak_kb", u64(r.rss_peak_kb));
+    if (r.pre)
+        o.field("pre", jsonOf(*r.pre));
+    if (r.vr)
+        o.field("vr", jsonOf(*r.vr));
+    if (r.dvr)
+        o.field("dvr", jsonOf(*r.dvr));
+    if (r.digest)
+        o.field("digest", digestRecordToJson(*r.digest));
+    // Sampled runs only (only-when-set keeps pre-sampling journals
+    // and bundles byte-identical).
+    if (r.sample)
+        o.field("sample", jsonOf(*r.sample));
+    return o.done();
 }
 
 SimResult
@@ -522,13 +468,50 @@ resultFromJson(const std::string &what, const std::string &text)
 std::string
 pointToJson(const RunPoint &p)
 {
-    return pointToJsonBody(p);
+    Obj o;
+    o.field("spec", str(p.spec))
+        .field("technique", str(techniqueName(p.technique)))
+        .field("column", str(p.column))
+        .field("variant", str(p.variant));
+    if (p.features)
+        o.field("features", jsonOf(*p.features));
+    o.field("cfg", jsonOf(p.cfg))
+        .field("gscale", jsonOf(p.gscale))
+        .field("hscale", jsonOf(p.hscale))
+        .field("max_insts", u64(p.max_insts))
+        .field("warmup", u64(p.warmup));
+    // Only-when-set: points without a sampling plan keep their
+    // pre-sampling serialization (and plan fingerprints) unchanged.
+    if (p.sampling.enabled())
+        o.field("sampling", jsonOf(p.sampling));
+    // "inject_fail" is redundant with the kind but kept, so bundles
+    // and plan fingerprints stay byte-identical.
+    const bool inject = p.inject_kind != InjectKind::None;
+    o.field("inject_fail", boolean(inject));
+    if (inject) {
+        o.field("inject_kind", str(injectKindName(p.inject_kind)));
+        if (p.inject_arg)
+            o.field("inject_arg", u64(p.inject_arg));
+    }
+    return o.done();
 }
 
 std::string
 digestRecordToJson(const DigestRecord &d)
 {
-    return digestToJson(d);
+    std::string iv = "[";
+    for (size_t i = 0; i < d.intervals.size(); i++) {
+        if (i)
+            iv += ",";
+        iv += hex64(d.intervals[i]);
+    }
+    iv += "]";
+    return Obj{}
+        .field("interval", u64(d.interval))
+        .field("instructions", u64(d.instructions))
+        .field("final_digest", hex64(d.final_digest))
+        .field("intervals", iv)
+        .done();
 }
 
 RunPoint
@@ -545,9 +528,9 @@ bundleToJson(const ReproBundle &b)
         .field("id", str(b.point.id()))
         .field("status", str(simStatusName(b.status)))
         .field("status_message", str(b.status_message))
-        .field("point", pointToJsonBody(b.point));
+        .field("point", pointToJson(b.point));
     if (b.baseline_digest)
-        o.field("baseline_digest", digestToJson(*b.baseline_digest));
+        o.field("baseline_digest", digestRecordToJson(*b.baseline_digest));
     if (b.divergence)
         o.field("divergence", divergenceToJson(*b.divergence));
     return o.done();
@@ -606,7 +589,7 @@ planFingerprint(const std::vector<RunPoint> &points)
 {
     uint64_t h = 0xcbf29ce484222325ull;
     for (const RunPoint &p : points) {
-        h = fnv1aStr(h, pointToJsonBody(p));
+        h = fnv1aStr(h, pointToJson(p));
         h = fnv1aStr(h, "\n");
     }
     return h;
@@ -629,7 +612,7 @@ journalEntryLine(size_t index, const RunPoint &point,
     return Obj{}
         .field("index", u64(index))
         .field("id", str(point.id()))
-        .field("result", resultToJsonBody(result))
+        .field("result", resultToJson(result))
         .done();
 }
 

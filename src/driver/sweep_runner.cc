@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "driver/repro.hh"
-#include "obs/trace.hh"
 #include "rt/cell_supervisor.hh"
 #include "sim/parse.hh"
 
@@ -18,11 +17,6 @@ namespace vrsim
 
 namespace
 {
-
-/** Deterministic digest poison for InjectKind::Diverge: flips the
- *  second half of the interval samples and the final hash so the
- *  first-mismatching-interval localization is exercised. */
-constexpr uint64_t INJECT_POISON = 0x9e3779b97f4a7c15ull;
 
 /** Key of the baseline cell a point is differentially checked
  *  against: same spec and config variant, OoO column. */
@@ -33,16 +27,6 @@ baselineKey(const RunPoint &p)
 }
 
 } // namespace
-
-const char *
-isolationName(Isolation i)
-{
-    switch (i) {
-      case Isolation::Thread: return "thread";
-      case Isolation::Process: return "process";
-    }
-    panic("unknown Isolation");
-}
 
 Isolation
 isolationFromName(const std::string &name)
@@ -65,66 +49,6 @@ SweepRunner::jobsFromEnv(unsigned dflt)
         fatal("VRSIM_JOBS=" + std::to_string(jobs) +
               " is absurd (max 4096)");
     return unsigned(jobs);
-}
-
-SimResult
-SweepRunner::runPoint(const RunPoint &p, WorkloadCache &cache,
-                      TraceSink *trace)
-{
-    return runGuarded(p.spec, p.technique, [&] {
-        if (trace)
-            trace->meta(p.id(), p.spec, techniqueName(p.technique),
-                        p.max_insts, p.warmup);
-        const std::string inject_msg = "fault injection requested for " +
-            techniqueName(p.technique) + " (--inject-fail)";
-        if (p.inject_fail) {
-            switch (p.inject_kind) {
-              case InjectKind::Fatal:
-                fatal(inject_msg);
-              case InjectKind::Hang: {
-                ProgressSnapshot snap;
-                snap.where = "inject";
-                hang(inject_msg, std::move(snap));
-              }
-              case InjectKind::Diverge:
-                break;   // run for real below, then poison the digest
-              case InjectKind::Segv:
-              case InjectKind::Oom:
-              case InjectKind::Spin:
-              case InjectKind::ExitCode:
-              case InjectKind::KillSelf:
-                // Executing these here would kill/wedge the calling
-                // process — only a supervised child may run them
-                // (rt/cell_supervisor.hh).
-                fatal("process-grade fault injection (" +
-                      std::string(injectKindName(p.inject_kind)) +
-                      ") requires --isolation process");
-              case InjectKind::None:
-              case InjectKind::Panic:
-                panic(inject_msg);
-            }
-        }
-        // Instantiate a private copy of the cached build artifact so
-        // stores in this run cannot leak into sibling points.
-        Workload w = cache.instantiate(p.spec, p.gscale, p.hscale);
-        SystemConfig cfg = p.cfg;
-        if (p.inject_fail)
-            cfg.collect_digest = true;
-        SimResult r = runWorkload(w, p.technique, cfg, p.max_insts,
-                                  p.warmup,
-                                  p.features ? &*p.features : nullptr,
-                                  trace, p.sampling);
-        if (p.inject_fail && r.digest) {
-            // Deterministic divergence: the digest check (or a
-            // replay of the resulting bundle) must flag this cell.
-            DigestRecord &d = *r.digest;
-            for (size_t i = d.intervals.size() / 2;
-                 i < d.intervals.size(); i++)
-                d.intervals[i] ^= INJECT_POISON;
-            d.final_digest ^= INJECT_POISON;
-        }
-        return r;
-    });
 }
 
 ResultTable
@@ -151,8 +75,7 @@ SweepRunner::run(const RunPlan &plan)
         fatal("--chaos requires --isolation process");
     if (isolation != Isolation::Process) {
         for (const RunPoint &p : points)
-            if (p.inject_fail &&
-                injectKindIsProcessGrade(p.inject_kind))
+            if (injectKindIsProcessGrade(p.inject_kind))
                 fatal("point " + p.id() + " injects a process-grade "
                       "fault (" +
                       std::string(injectKindName(p.inject_kind)) +
@@ -300,7 +223,7 @@ SweepRunner::run(const RunPlan &plan)
                 else if (r.status == SimStatus::TimedOut)
                     cells_timed_out.fetch_add(1);
             } else {
-                r = runPoint(p, cache, opts_.trace);
+                r = simulate(p, cache, opts_.trace);
             }
             setLogContext("");
             size_t n = done.fetch_add(1) + 1;

@@ -48,9 +48,6 @@ enum class Isolation : uint8_t
     Process,
 };
 
-/** Printable isolation name ("thread", "process"). */
-const char *isolationName(Isolation i);
-
 /** Parse an isolation mode; fatal() on unknown names. */
 Isolation isolationFromName(const std::string &name);
 
@@ -147,17 +144,6 @@ class SweepRunner
      * identical tables.
      */
     ResultTable run(const RunPlan &plan);
-
-    /**
-     * Run one already-resolved point (bypasses the pool; tests and
-     * --replay). Honors the point's injected-failure kind, including
-     * Diverge (runs with digest collection and deterministically
-     * poisons the digest). @p trace, when non-null, receives a meta
-     * event for the point followed by its cycle-level events.
-     */
-    static SimResult runPoint(const RunPoint &point,
-                              WorkloadCache &cache,
-                              TraceSink *trace = nullptr);
 
     /**
      * Worker count the environment asks for: strict-parsed VRSIM_JOBS

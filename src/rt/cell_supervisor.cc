@@ -121,19 +121,17 @@ CellSupervisor::runCell(const RunPoint &point)
         // the inject_attempts knob decides for how many attempts it
         // fires. In-taxonomy kinds always run (they are results, not
         // deaths, and must stay deterministic across attempts).
-        if (as_run.inject_fail &&
-            injectKindIsProcessGrade(as_run.inject_kind) &&
+        if (injectKindIsProcessGrade(as_run.inject_kind) &&
             attempt >= opts_.inject_attempts) {
-            as_run.inject_fail = false;
             as_run.inject_kind = InjectKind::None;
             as_run.inject_arg = 0;
         }
         // Chaos draws per (cell, attempt), so a cell can die on its
         // first attempt and succeed on the retry. Points that already
         // carry a fault are left alone: explicit injection wins.
-        if (opts_.chaos.enabled() && !as_run.inject_fail) {
+        if (opts_.chaos.enabled() &&
+            as_run.inject_kind == InjectKind::None) {
             if (auto fault = opts_.chaos.decide(point.id(), attempt)) {
-                as_run.inject_fail = true;
                 as_run.inject_kind = fault->kind;
                 as_run.inject_arg = fault->arg;
             }
@@ -145,11 +143,10 @@ CellSupervisor::runCell(const RunPoint &point)
         ChildOutcome out = Subprocess::run(
             [&as_run, &cache](int result_fd) {
                 setLogContext(as_run.id());
-                if (as_run.inject_fail &&
-                    injectKindIsProcessGrade(as_run.inject_kind))
+                if (injectKindIsProcessGrade(as_run.inject_kind))
                     executeProcessFault(as_run.inject_kind,
                                         as_run.inject_arg);
-                SimResult r = SweepRunner::runPoint(as_run, cache);
+                SimResult r = simulate(as_run, cache);
                 std::string line = resultToJson(r) + "\n";
                 return Subprocess::writeAll(result_fd, line) ? 0 : 83;
             },

@@ -5,8 +5,8 @@
  * a SimResult the sweep layer can record.
  *
  * The contract mirrors thread isolation exactly for everything the
- * guarded runner already handles: the child runs
- * SweepRunner::runPoint, so in-taxonomy failures (fatal, panic, hang,
+ * guarded runner already handles: the child runs simulate(), so
+ * in-taxonomy failures (fatal, panic, hang,
  * diverge) become status-carrying result rows written to the result
  * pipe and are NOT retried — a rejected configuration is just as
  * rejected on attempt 2. Only process-grade deaths — signal, rlimit

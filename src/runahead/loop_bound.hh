@@ -95,8 +95,6 @@ class LoopBoundDetector
     /** FLR value (0 = no dependent load chain found). */
     uint32_t flr() const { return flr_; }
     bool sbbSet() const { return sbb_; }
-    uint8_t lcrRs1() const { return lcr_rs1_; }
-    uint8_t lcrRs2() const { return lcr_rs2_; }
 
     /**
      * End of Discovery Mode: compare the entry checkpoint with the

@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "driver/repro.hh"
-#include "driver/sweep_runner.hh"
 
 namespace vrsim
 {
@@ -54,9 +54,9 @@ SimResult
 smallResult()
 {
     RunPoint p = richPoint();
-    p.inject_fail = false;
+    p.inject_kind = InjectKind::None;
     WorkloadCache cache;
-    SimResult r = SweepRunner::runPoint(p, cache);
+    SimResult r = simulate(p, cache);
     EXPECT_TRUE(r.ok()) << r.status_message;
     EXPECT_TRUE(r.digest.has_value());
     return r;
@@ -85,7 +85,6 @@ TEST(ReproRoundTripTest, PointJsonIsExact)
     EXPECT_EQ(q.gscale.seed, 99u);
     ASSERT_TRUE(q.features.has_value());
     EXPECT_FALSE(q.features->reconverge);
-    EXPECT_TRUE(q.inject_fail);
     EXPECT_EQ(q.inject_kind, InjectKind::Diverge);
 }
 
@@ -97,13 +96,13 @@ TEST(ReproRoundTripTest, PlainPointOmitsOptionals)
     RunPoint q = pointFromJson("plain point", pointToJson(p));
     EXPECT_EQ(pointToJson(q), pointToJson(p));
     EXPECT_FALSE(q.features.has_value());
-    EXPECT_FALSE(q.inject_fail);
+    EXPECT_EQ(q.inject_kind, InjectKind::None);
 }
 
 TEST(ReproRoundTripTest, SamplingFieldsRoundTrip)
 {
     RunPoint p = richPoint();
-    p.inject_fail = false;
+    p.inject_kind = InjectKind::None;
     p.warmup = 0;  // interval sampling replaces the global warmup
     p.sampling = SamplingPlan{256, 2000, 400, 100};
     std::string json = pointToJson(p);
@@ -117,7 +116,7 @@ TEST(ReproRoundTripTest, SamplingFieldsRoundTrip)
 
     // A live sampled run's summary survives the journal round-trip.
     WorkloadCache cache;
-    SimResult r = SweepRunner::runPoint(q, cache);
+    SimResult r = simulate(q, cache);
     ASSERT_TRUE(r.ok()) << r.status_message;
     ASSERT_TRUE(r.sample.has_value());
     EXPECT_GT(r.sample->intervals, 0u);
@@ -256,8 +255,18 @@ class JournalTest : public ::testing::Test
         plan.add({"camel"}, {Technique::OoO, Technique::Dvr});
         points_ = plan.points();
         fp_ = planFingerprint(points_);
-        path_ = ::testing::TempDir() + "vrsim_journal_test.jsonl";
+        // Unique per test: ctest runs each case as its own process, so
+        // a shared path would let parallel cases truncate each other's
+        // journals.
+        path_ = ::testing::TempDir() + "vrsim_journal_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".jsonl";
+        std::remove(path_.c_str());
     }
+
+    void TearDown() override { std::remove(path_.c_str()); }
 
     std::string
     journalText(size_t entries)

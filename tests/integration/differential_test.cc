@@ -119,7 +119,7 @@ TEST(DifferentialTest, InjectedDivergenceIsFlaggedBundledAndReplayable)
 
     // ...and replaying the bundled point reproduces the divergence
     // exactly (deterministic injection, deterministic simulation).
-    SimResult replayed = SweepRunner::runPoint(b.point, cache);
+    SimResult replayed = simulate(b.point, cache);
     ASSERT_TRUE(replayed.ok()) << replayed.status_message;
     ASSERT_TRUE(replayed.digest.has_value());
     auto div = compareDigests(*b.baseline_digest, *replayed.digest);
@@ -142,7 +142,7 @@ TEST(DifferentialTest, InjectKindsMapToStatuses)
         plan.add({"camel"}, {Technique::Vr});
         plan.injectFail(Technique::Vr, c.kind);
         RunPoint p = plan.points().at(0);
-        SimResult r = SweepRunner::runPoint(p, cache);
+        SimResult r = simulate(p, cache);
         EXPECT_EQ(r.status, c.status)
             << injectKindName(c.kind);
         EXPECT_NE(r.status_message.find("fault injection"),

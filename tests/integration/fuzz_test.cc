@@ -126,9 +126,10 @@ TEST_P(FuzzProgram, AllTechniquesRunAndPreserveArchitecture)
     for (Technique t : {Technique::OoO, Technique::Pre, Technique::Vr,
                         Technique::Dvr, Technique::Oracle}) {
         Workload w = randomWorkload(seed);
-        SimResult r;
-        ASSERT_NO_THROW(r = runWorkload(w, t, cfg, budget))
-            << "seed " << seed << " " << techniqueName(t);
+        SimResult r =
+            simulate({.technique = t, .cfg = cfg, .max_insts = budget}, w);
+        ASSERT_TRUE(r.ok()) << "seed " << seed << " " << techniqueName(t)
+                            << ": " << r.status_message;
         EXPECT_LE(r.core.instructions, budget);
         EXPECT_GT(r.core.cycles, 0u);
         // Architectural equivalence: sample the store target array.

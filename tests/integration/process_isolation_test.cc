@@ -224,7 +224,6 @@ TEST(ProcessIsolationTest, ChaosInvariant)
         ASSERT_EQ(bundles.count(id), 1u) << id;
         const ReproBundle &b = bundles.at(id);
         EXPECT_EQ(b.status, got.status) << id;
-        EXPECT_TRUE(b.point.inject_fail) << id;
         EXPECT_EQ(b.point.inject_kind, fate.final_kind) << id;
 
         CellOptions copts;

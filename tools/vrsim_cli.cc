@@ -149,15 +149,6 @@ parseFormat(const std::string &s)
     fatal("unknown format: " + s + " (expected table, csv or json)");
 }
 
-/** Map a failed run's status to the process exit-code contract
- *  (exitCodeForStatus: 124 for a deadline kill, 128+signo for a
- *  signal death — never aliasing 70). */
-int
-exitCodeFor(const SimResult &r)
-{
-    return exitCodeForStatus(r.status, r.term_signal);
-}
-
 /**
  * --replay: reconstruct the exact point a repro bundle describes,
  * re-run it (honoring any injected-failure kind), re-apply the
@@ -172,8 +163,7 @@ replayBundle(const std::string &path)
            simStatusName(b.status) + ")");
 
     SimResult r;
-    if (b.point.inject_fail &&
-        injectKindIsProcessGrade(b.point.inject_kind)) {
+    if (injectKindIsProcessGrade(b.point.inject_kind)) {
         // A process-grade fault must run in a supervised child (it
         // kills its process by design); the deadline makes a spin
         // fault reproduce as timedout instead of wedging the replay.
@@ -182,7 +172,7 @@ replayBundle(const std::string &path)
         CellSupervisor sup(copts, WorkloadCache::process());
         r = sup.runCell(b.point).result;
     } else {
-        r = SweepRunner::runPoint(b.point, WorkloadCache::process());
+        r = simulate(b.point);
     }
     if (b.baseline_digest && r.ok()) {
         if (!r.digest)
@@ -209,7 +199,7 @@ replayBundle(const std::string &path)
              std::string(simStatusName(r.status)) +
              " but the bundle recorded " +
              std::string(simStatusName(b.status)));
-    return exitCodeFor(r);
+    return exitCodeForStatus(r.status, r.term_signal);
 }
 
 void
@@ -488,7 +478,7 @@ main(int argc, char **argv)
             for (const SimResult &r : table.results()) {
                 if (!r.ok()) {
                     std::cerr << r.status_message << "\n";
-                    return exitCodeFor(r);
+                    return exitCodeForStatus(r.status, r.term_signal);
                 }
             }
         }
