@@ -63,7 +63,8 @@ class WorkloadCache
     /**
      * The process-wide cache the driver layers use by default, giving
      * "each spec is built once per binary" without threading a cache
-     * through every call site.
+     * through every call site. Its artifacts live until the process
+     * exits.
      */
     static WorkloadCache &process();
 
