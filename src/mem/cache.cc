@@ -1,13 +1,21 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 namespace vrsim
 {
+
+static_assert(sizeof(CacheArray::Line) == 32,
+              "a tag-array line should pack to 32 bytes");
 
 CacheArray::CacheArray(std::string name, const CacheConfig &cfg)
     : name_(std::move(name)), cfg_(cfg)
 {
-    panicIfNot(cfg.line_bytes > 0 && cfg.assoc > 0,
+    // lineAddr() is a shift, so the line size must be a power of two
+    // (SystemConfig::validate() rejects any other size first).
+    panicIfNot(std::has_single_bit(cfg.line_bytes) && cfg.assoc > 0,
                "bad cache geometry");
+    line_shift_ = uint32_t(std::countr_zero(cfg.line_bytes));
     uint32_t lines = cfg.size_bytes / cfg.line_bytes;
     panicIfNot(lines >= cfg.assoc, "cache smaller than one set");
     num_sets_ = lines / cfg.assoc;
@@ -32,33 +40,6 @@ CacheArray::lookup(uint64_t line_addr, Cycle cycle)
     return nullptr;
 }
 
-CacheArray::Line *
-CacheArray::victimIn(Line *s)
-{
-    for (uint32_t w = 0; w < cfg_.assoc; w++)
-        if (!s[w].valid)
-            return &s[w];
-    switch (cfg_.repl) {
-      case ReplPolicy::Lru:
-      case ReplPolicy::Fifo: {
-        // FIFO: last_use is only written at insertion, so the oldest
-        // insertion is evicted; LRU refreshes it on every hit.
-        Line *v = &s[0];
-        for (uint32_t w = 0; w < cfg_.assoc; w++)
-            if (s[w].last_use < v->last_use)
-                v = &s[w];
-        return v;
-      }
-      case ReplPolicy::Random: {
-        rand_state_ ^= rand_state_ << 13;
-        rand_state_ ^= rand_state_ >> 7;
-        rand_state_ ^= rand_state_ << 17;
-        return &s[rand_state_ % cfg_.assoc];
-      }
-    }
-    panic("unknown replacement policy");
-}
-
 const CacheArray::Line *
 CacheArray::peek(uint64_t line_addr) const
 {
@@ -74,18 +55,48 @@ std::optional<CacheArray::Line>
 CacheArray::insert(uint64_t line_addr, Cycle cycle, Cycle fill_time,
                    Requester origin)
 {
+    // One pass finds the hit, the first invalid way and the first way
+    // with the smallest last_use (strict <, so the lowest way wins a
+    // tie).
     Line *s = set(line_addr);
+    Line *invalid = nullptr;
+    Line *oldest = s;
     for (uint32_t w = 0; w < cfg_.assoc; w++) {
         Line &l = s[w];
-        if (l.valid && l.tag == line_addr) {
+        if (!l.valid) {
+            if (!invalid)
+                invalid = &l;
+            continue;
+        }
+        if (l.tag == line_addr) {
             // Refill of a present line: just refresh metadata.
             l.fill_time = std::min(l.fill_time, fill_time);
             if (cfg_.repl == ReplPolicy::Lru)
                 l.last_use = cycle;
             return std::nullopt;
         }
+        if (l.last_use < oldest->last_use)
+            oldest = &l;
     }
-    Line *victim = victimIn(s);
+    // Every policy fills an invalid way first. Otherwise LRU and FIFO
+    // evict the oldest line (FIFO only writes last_use at insertion,
+    // so that is the oldest insertion; LRU refreshes it on every hit).
+    Line *victim = invalid;
+    if (!victim) {
+        switch (cfg_.repl) {
+          case ReplPolicy::Lru:
+          case ReplPolicy::Fifo:
+            victim = oldest;
+            break;
+          case ReplPolicy::Random:
+            rand_state_ ^= rand_state_ << 13;
+            rand_state_ ^= rand_state_ >> 7;
+            rand_state_ ^= rand_state_ << 17;
+            victim = &s[rand_state_ % cfg_.assoc];
+            break;
+        }
+        panicIfNot(victim != nullptr, "unknown replacement policy");
+    }
     std::optional<Line> evicted;
     if (victim->valid)
         evicted = *victim;

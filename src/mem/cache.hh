@@ -85,13 +85,15 @@ class CacheArray
   public:
     CacheArray(std::string name, const CacheConfig &cfg);
 
+    // Wide fields first, so a line packs to 32 bytes (two per
+    // host cache line).
     struct Line
     {
         uint64_t tag = 0;   //!< full line address (tag + index)
-        bool valid = false;
         Cycle fill_time = 0;   //!< cycle at which data is present
         Cycle last_use = 0;    //!< LRU timestamp
         Requester origin = Requester::Demand;
+        bool valid = false;
         bool used_since_fill = false;
     };
 
@@ -103,7 +105,9 @@ class CacheArray
     const Line *peek(uint64_t line_addr) const;
 
     /**
-     * Insert a line (victim evicted by LRU).
+     * Insert a line. The victim is the first invalid way, else the
+     * configured policy's pick: for LRU/FIFO the first way with the
+     * smallest last_use.
      * @return the evicted line if a valid one was displaced.
      */
     std::optional<Line> insert(uint64_t line_addr, Cycle cycle,
@@ -113,8 +117,7 @@ class CacheArray
     void invalidate(uint64_t line_addr);
 
     uint32_t lineBytes() const { return cfg_.line_bytes; }
-    uint64_t lineAddr(uint64_t addr) const
-    { return addr / cfg_.line_bytes; }
+    uint64_t lineAddr(uint64_t addr) const { return addr >> line_shift_; }
 
     uint32_t numSets() const { return num_sets_; }
     const std::string &name() const { return name_; }
@@ -136,11 +139,9 @@ class CacheArray
     const Line *set(uint64_t line_addr) const
     { return &lines_[setIndex(line_addr) * cfg_.assoc]; }
 
-    /** Pick the victim way per the configured policy. */
-    Line *victimIn(Line *set);
-
     std::string name_;
     CacheConfig cfg_;
+    uint32_t line_shift_;    //!< log2(line_bytes)
     uint32_t num_sets_;
     uint64_t set_mask_ = 0;  //!< num_sets - 1 when a power of two
     std::vector<Line> lines_;  //!< num_sets * assoc, set-major

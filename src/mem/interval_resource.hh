@@ -52,7 +52,8 @@ class IntervalResource
      * scan: a candidate window is abandoned as soon as it contains a
      * full bucket, and the start jumps past that bucket's known-full
      * run (all intermediate starts are infeasible because each is
-     * itself a full bucket or spans one).
+     * itself a full bucket or spans one). nextFree() only moves the
+     * start; the rest of the window is checked by one range scan.
      *
      * @return the start cycle of the reservation
      */
@@ -69,19 +70,11 @@ class IntervalResource
                 first_b = f;
                 last_b = ((first_b << shift_) + duration - 1) >> shift_;
             }
-            bool ok = true;
-            for (Cycle b = first_b + 1; b <= last_b; b++) {
-                Cycle g = cal_.nextFree(b);
-                if (g != b) {
-                    first_b = g;
-                    last_b = ((first_b << shift_) + duration - 1)
-                             >> shift_;
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok)
+            Cycle full = cal_.firstFull(first_b + 1, last_b);
+            if (full > last_b)
                 break;
+            first_b = cal_.nextFree(full);
+            last_b = ((first_b << shift_) + duration - 1) >> shift_;
         }
         cal_.fill(first_b, last_b);
         Cycle start = std::max(earliest, first_b << shift_);

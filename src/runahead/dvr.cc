@@ -235,7 +235,7 @@ DecoupledVectorRunahead::spawn(const StepInfo &si, const CpuState &after,
         uint64_t addr = uint64_t(int64_t(si.addr) +
                                  stride * int64_t(k0 + j));
         last_addr = addr;
-        Cycle issue = gather0 + vir.copyOf(uint32_t(j), mask);
+        Cycle issue = gather0 + vir.copyOf(uint32_t(j));
         AccessResult res = hier_.access(addr, 0, issue, false,
                                         Requester::Runahead);
         ++stats_.prefetches;
@@ -350,7 +350,7 @@ DecoupledVectorRunahead::spawnNested(const StepInfo &si,
             lane.ctx.pc = si.next_pc;
             uint64_t addr = uint64_t(int64_t(si.addr) +
                                      istride * int64_t(j + 1));
-            Cycle issue = g0 + vir.copyOf(uint32_t(j), mask);
+            Cycle issue = g0 + vir.copyOf(uint32_t(j));
             AccessResult res = hier_.access(addr, 0, issue, false,
                                             Requester::Runahead);
             ++stats_.prefetches;

@@ -147,6 +147,15 @@ LaneExecutor::run(std::vector<Lane> &lanes, uint32_t stride_pc,
         // memory accesses.
         uint32_t common_next = UINT32_MAX;
         bool divergent = false;
+        // A lane rides VIR copy rank / lanes_per_vector, where rank
+        // counts the earlier lanes still active. Known quirk, kept
+        // because fixing it changes statistics (ROADMAP item 1):
+        // vir.issue() charged one copy per lanes_per_vector lanes
+        // active at issue, but a lane that ends at this instruction
+        // (every lane does at the FLR load) drops out of the rank of
+        // the lanes after it, which then issue in an earlier copy than
+        // the one charged for them.
+        uint32_t rank = 0;
         for (unsigned j = 0; j < lanes.size(); j++) {
             if (!active.test(j))
                 continue;
@@ -157,7 +166,7 @@ LaneExecutor::run(std::vector<Lane> &lanes, uint32_t stride_pc,
             ++st.insts;
 
             if (si.is_mem && !si.is_store) {
-                Cycle copy = vectorized ? vir.copyOf(j, active) : 0;
+                Cycle copy = vectorized ? vir.copyOf(rank) : 0;
                 // t0 >= the spawning stall's dispatch point: lane
                 // traffic stays at or after the calendar horizon
                 // (docs/performance.md), so the shared calendars can
@@ -190,6 +199,8 @@ LaneExecutor::run(std::vector<Lane> &lanes, uint32_t stride_pc,
             if (term) {
                 lane.done = true;
                 active.reset(j);
+            } else {
+                ++rank;
             }
         }
 

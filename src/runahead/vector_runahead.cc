@@ -97,7 +97,7 @@ VectorRunahead::onFullRobStall(Cycle stall_start, Cycle head_fill,
         // gather0 >= the triggering stall's dispatch point, so every
         // lane access honours the calendar-horizon floor
         // (docs/performance.md) and never lands in retired history.
-        Cycle issue = gather0 + vir.copyOf(j, all);
+        Cycle issue = gather0 + vir.copyOf(j);
         AccessResult res = hier_.access(addr, 0, issue, false,
                                         Requester::Runahead);
         ++stats_.prefetches;

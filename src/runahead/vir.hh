@@ -61,16 +61,16 @@ class VectorIssueRegister
         return first;
     }
 
-    /** Which copy (0-based) a lane belongs to. */
+    /**
+     * Which copy (0-based) a lane belongs to. Copies are formed over
+     * the active lanes in lane order, so a lane's copy follows from
+     * its @p rank: the number of active lanes before it. Callers count
+     * ranks as they walk the lanes (see LaneExecutor::run).
+     */
     uint32_t
-    copyOf(uint32_t lane, const LaneMask &mask) const
+    copyOf(uint32_t rank) const
     {
-        // Copies are formed over the *active* lanes in mask order.
-        uint32_t idx = 0;
-        for (uint32_t l = 0; l < lane; l++)
-            if (mask.test(l))
-                ++idx;
-        return idx / lanes_per_vector_;
+        return rank / lanes_per_vector_;
     }
 
     /** Advance the timeline to at least @p cycle (stall). */

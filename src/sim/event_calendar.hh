@@ -133,15 +133,55 @@ class EventCalendar
         }
     }
 
+    /**
+     * First bucket in [@p lo, @p hi] at full capacity, or hi + 1 when
+     * every bucket in the range has a free slot. One tight loop over
+     * `used[]` per chunk; it counts one probe per free bucket passed,
+     * exactly what a nextFree() call per bucket would count, and it
+     * leaves the skip pointers alone, so a caller that resumes with
+     * nextFree() at the returned bucket sees the same probes and
+     * pointers as the per-bucket walk.
+     */
+    Cycle
+    firstFull(Cycle lo, Cycle hi)
+    {
+        panicIfNot(lo > hi || size_t(lo >> CHUNK_BITS) >= retired_chunks_,
+                   "calendar probed retired history (allocation below "
+                   "the dispatch horizon)");
+        for (Cycle b = lo; b <= hi;) {
+            size_t ci = size_t(b >> CHUNK_BITS);
+            uint32_t i = uint32_t(b & (CHUNK_SIZE - 1));
+            uint32_t e = lastIndexIn(ci, hi);
+            if (ci < chunks_.size() && chunks_[ci]) {
+                const uint32_t *used = chunks_[ci]->used.data();
+                for (uint32_t k = i; k <= e; k++) {
+                    if (used[k] >= capacity_) {
+                        probes_ += k - i;
+                        return (Cycle(ci) << CHUNK_BITS) + k;
+                    }
+                }
+            }
+            // Untouched chunks are empty: every bucket is free.
+            probes_ += e - i + 1;
+            b = (Cycle(ci) << CHUNK_BITS) + e + 1;
+        }
+        return hi + 1;
+    }
+
     /** Add one user to every bucket in [@p first_b, @p last_b]. */
     void
     fill(Cycle first_b, Cycle last_b)
     {
-        for (Cycle b = first_b; b <= last_b; b++) {
+        // Buckets only grow from first_b, so one horizon check covers
+        // the whole range.
+        panicIfNot(first_b > last_b ||
+                       size_t(first_b >> CHUNK_BITS) >= retired_chunks_,
+                   "calendar filled retired history (allocation below "
+                   "the dispatch horizon)");
+        for (Cycle b = first_b; b <= last_b;) {
             size_t ci = size_t(b >> CHUNK_BITS);
-            panicIfNot(ci >= retired_chunks_,
-                       "calendar filled retired history (allocation "
-                       "below the dispatch horizon)");
+            uint32_t i = uint32_t(b & (CHUNK_SIZE - 1));
+            uint32_t e = lastIndexIn(ci, last_b);
             if (ci >= chunks_.size())
                 chunks_.resize(ci + 1);
             if (!chunks_[ci]) {
@@ -153,7 +193,10 @@ class EventCalendar
                     chunks_[ci] = std::make_unique<Chunk>();
                 }
             }
-            ++chunks_[ci]->used[b & (CHUNK_SIZE - 1)];
+            uint32_t *used = chunks_[ci]->used.data();
+            for (uint32_t k = i; k <= e; k++)
+                ++used[k];
+            b = (Cycle(ci) << CHUNK_BITS) + e + 1;
         }
     }
 
@@ -211,6 +254,16 @@ class EventCalendar
             next.fill(0);
         }
     };
+
+    /** In-chunk index of the last bucket of chunk @p ci that is at
+     *  or below bucket @p hi (which is in or after that chunk). */
+    static uint32_t
+    lastIndexIn(size_t ci, Cycle hi)
+    {
+        return size_t(hi >> CHUNK_BITS) == ci
+                   ? uint32_t(hi & (CHUNK_SIZE - 1))
+                   : CHUNK_SIZE - 1;
+    }
 
     static std::atomic<int> &
     mode()

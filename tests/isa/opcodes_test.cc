@@ -43,21 +43,27 @@ TEST(OpcodesTest, TraitClassesAreConsistent)
                     int(t.is_prefetch) + int(t.is_branch);
         EXPECT_LE(kinds, 1) << opName(op);
         // Loads write a destination; stores and branches never do.
-        if (t.is_load)
+        if (t.is_load) {
             EXPECT_TRUE(t.writes_dst) << opName(op);
-        if (t.is_store || t.is_branch || t.is_prefetch)
+        }
+        if (t.is_store || t.is_branch || t.is_prefetch) {
             EXPECT_FALSE(t.writes_dst) << opName(op);
+        }
         // Compares write their 0/1 result.
-        if (t.is_compare)
+        if (t.is_compare) {
             EXPECT_TRUE(t.writes_dst) << opName(op);
+        }
         // Conditional branches are branches.
-        if (t.is_cond_branch)
+        if (t.is_cond_branch) {
             EXPECT_TRUE(t.is_branch) << opName(op);
+        }
         // Memory ops run on memory FUs.
-        if (t.is_load || t.is_prefetch)
+        if (t.is_load || t.is_prefetch) {
             EXPECT_EQ(int(t.fu), int(FuClass::Load)) << opName(op);
-        if (t.is_store)
+        }
+        if (t.is_store) {
             EXPECT_EQ(int(t.fu), int(FuClass::Store)) << opName(op);
+        }
     }
 }
 

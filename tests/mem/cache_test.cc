@@ -105,6 +105,16 @@ TEST(CacheArrayTest, BadGeometryPanics)
     EXPECT_THROW(CacheArray("bad", cfg), PanicError);
 }
 
+TEST(CacheArrayTest, NonPowerOfTwoLineSizePanics)
+{
+    // lineAddr() is a shift, so the array itself must refuse a line
+    // size that is not a power of two.
+    CacheConfig cfg = smallCache();
+    cfg.line_bytes = 48;
+    cfg.size_bytes = 48 * 8;
+    EXPECT_THROW(CacheArray("bad", cfg), PanicError);
+}
+
 TEST(MshrBankTest, ImmediateAllocationWhenFree)
 {
     MshrBank bank(4);
@@ -185,6 +195,59 @@ TEST(CacheReplTest, RandomEvictsSomeValidWay)
     EXPECT_TRUE(ev->tag == 0u || ev->tag == 4u);
     // The new line is resident either way.
     EXPECT_NE(c.peek(8), nullptr);
+}
+
+/** 4 sets x 4 ways; lines 0, 4, 8, 12, 16 all map to set 0. */
+CacheConfig
+fourWayCache(ReplPolicy p)
+{
+    CacheConfig cfg = smallCache();
+    cfg.size_bytes = 1024;
+    cfg.assoc = 4;
+    cfg.repl = p;
+    return cfg;
+}
+
+TEST(CacheReplTest, TiedLastUseEvictsLowestWay)
+{
+    for (ReplPolicy p : {ReplPolicy::Lru, ReplPolicy::Fifo}) {
+        CacheArray c("t", fourWayCache(p));
+        // Ways 0..3 in insertion order, last_use 7, 3, 3, 9: ways 1
+        // and 2 tie for the oldest, and the lower one goes first.
+        c.insert(0, 7, 7, Requester::Demand);
+        c.insert(4, 3, 3, Requester::Demand);
+        c.insert(8, 3, 3, Requester::Demand);
+        c.insert(12, 9, 9, Requester::Demand);
+        auto ev = c.insert(16, 10, 10, Requester::Demand);
+        ASSERT_TRUE(ev.has_value());
+        EXPECT_EQ(ev->tag, 4u);
+        ev = c.insert(20, 11, 11, Requester::Demand);
+        ASSERT_TRUE(ev.has_value());
+        EXPECT_EQ(ev->tag, 8u);
+    }
+}
+
+TEST(CacheReplTest, FirstInvalidWayBeatsOlderValidWays)
+{
+    for (ReplPolicy p : {ReplPolicy::Lru, ReplPolicy::Fifo,
+                         ReplPolicy::Random}) {
+        CacheArray c("t", fourWayCache(p));
+        c.insert(0, 1, 1, Requester::Demand);
+        c.insert(4, 2, 2, Requester::Demand);
+        c.insert(8, 3, 3, Requester::Demand);
+        c.insert(12, 4, 4, Requester::Demand);
+        c.invalidate(8);    // way 2
+        c.invalidate(4);    // way 1
+        // Both holes are refilled before any valid line is evicted,
+        // although line 0 is older than all of them.
+        EXPECT_FALSE(c.insert(16, 5, 5, Requester::Demand).has_value());
+        EXPECT_FALSE(c.insert(20, 6, 6, Requester::Demand).has_value());
+        auto ev = c.insert(24, 7, 7, Requester::Demand);
+        ASSERT_TRUE(ev.has_value());
+        if (p != ReplPolicy::Random) {
+            EXPECT_EQ(ev->tag, 0u);
+        }
+    }
 }
 
 TEST(CacheReplTest, PoliciesFillInvalidWaysFirst)

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "mem/hierarchy.hh"
+#include "obs/trace.hh"
 #include "runahead/lane_executor.hh"
 
 namespace vrsim
@@ -44,6 +49,31 @@ class LaneExecTest : public ::testing::Test
             seed(j, lanes[j].ctx);
         }
         return lanes;
+    }
+
+    /**
+     * Run @p fn with the hierarchy's `mem` trace on and return the
+     * cycle each traced access was issued at, keyed by address.
+     */
+    std::map<uint64_t, Cycle>
+    issueCycles(const std::function<void()> &fn)
+    {
+        std::ostringstream os;
+        TraceSink sink(os, uint32_t(TraceCat::Mem));
+        hier.setTraceSink(&sink);
+        fn();
+        hier.setTraceSink(nullptr);
+        std::map<uint64_t, Cycle> out;
+        std::istringstream is(os.str());
+        for (std::string line; std::getline(is, line);) {
+            auto field = [&](const char *key) {
+                size_t at = line.find(key);
+                EXPECT_NE(at, std::string::npos) << line;
+                return std::stoull(line.substr(at + std::strlen(key)));
+            };
+            out[field("\"addr\":")] = field("\"cyc\":");
+        }
+        return out;
     }
 };
 
@@ -173,6 +203,85 @@ TEST_F(LaneExecTest, StopAtFlrEndsLaneAfterFinalLoad)
                              true, 0);
     EXPECT_EQ(st.prefetches, 4u);
     EXPECT_EQ(st.insts, 4u);        // exactly the FLR load per lane
+}
+
+TEST_F(LaneExecTest, VectorLoadIssueCyclesFollowActiveRank)
+{
+    // One vectorized load over 20 lanes, of which lanes 2, 9 and 13
+    // are already done on entry. A lane rides VIR copy rank / 8, where
+    // its rank counts only the active lanes before it: lane 8 (rank 7)
+    // is still in copy 0 and lane 19 (rank 16) is in copy 2.
+    ProgramBuilder bb("rank");
+    auto stride = bb.here();
+    bb.nop();                       // pc 0
+    bb.ld(2, 1);                    // pc 1
+    bb.jmp(stride);
+    Program p = bb.build();
+
+    auto lanes = makeLanes(20, 1, [&](unsigned j, CpuState &ctx) {
+        ctx.regs[1] = 0x40000 + j * 64;
+    });
+    for (unsigned j : {2u, 9u, 13u})
+        lanes[j].done = true;
+    LaneExecutor ex(cfg.runahead, p, image, hier);
+    const Cycle start = 1000;
+    auto issued = issueCycles(
+        [&] { ex.run(lanes, 0, 0, false, true, start); });
+
+    // Copy index per lane; -1: inactive on entry, issues nothing.
+    const int copy[20] = {0, 0, -1, 0, 0, 0, 0, 0, 0, -1,
+                          1, 1, 1, -1, 1, 1, 1, 1, 1, 2};
+    EXPECT_EQ(issued.size(), 17u);
+    for (unsigned j = 0; j < 20; j++) {
+        const uint64_t addr = 0x40000 + j * 64;
+        if (copy[j] < 0) {
+            EXPECT_EQ(issued.count(addr), 0u) << "lane " << j;
+            continue;
+        }
+        ASSERT_EQ(issued.count(addr), 1u) << "lane " << j;
+        EXPECT_EQ(issued[addr], start + Cycle(copy[j])) << "lane " << j;
+    }
+}
+
+TEST_F(LaneExecTest, FlrLoadLanesAllIssueInFirstCopy)
+{
+    // Every lane ends at the FLR load, and a lane that has ended drops
+    // out of the rank of the lanes after it. So all 18 active lanes
+    // issue in copy 0, although the VIR charges ceil(18 / 8) = 3
+    // copies for the instruction (the copy-rank quirk documented in
+    // LaneExecutor::run).
+    ProgramBuilder bb("flr-rank");
+    auto stride = bb.here();
+    bb.nop();                       // pc 0
+    bb.ld(2, 1);                    // pc 1  <- FLR
+    bb.addi(3, 3, 1);               // pc 2 (never reached)
+    bb.jmp(stride);
+    Program p = bb.build();
+
+    auto lanes = makeLanes(20, 1, [&](unsigned j, CpuState &ctx) {
+        ctx.regs[1] = 0x60000 + j * 64;
+    });
+    lanes[2].done = true;
+    lanes[9].done = true;
+    LaneExecutor ex(cfg.runahead, p, image, hier);
+    const Cycle start = 1000;
+    LaneRunStats st;
+    auto issued = issueCycles([&] {
+        st = ex.run(lanes, 0, /*flr=*/1, /*stop_at_flr=*/true, true,
+                    start);
+    });
+
+    EXPECT_EQ(issued.size(), 18u);
+    for (unsigned j = 0; j < 20; j++) {
+        const uint64_t addr = 0x60000 + j * 64;
+        if (j == 2 || j == 9) {
+            EXPECT_EQ(issued.count(addr), 0u) << "lane " << j;
+            continue;
+        }
+        ASSERT_EQ(issued.count(addr), 1u) << "lane " << j;
+        EXPECT_EQ(issued[addr], start) << "lane " << j;
+    }
+    EXPECT_EQ(st.end_time, start + 3);
 }
 
 TEST_F(LaneExecTest, TimeoutTerminatesRunawayLanes)
