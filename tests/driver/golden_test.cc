@@ -5,7 +5,8 @@
  * diverge repro bundle. All eight techniques run under a --warmup ROI,
  * an --ff-insts ROI and a --sample N:M:W plan, so a statistic that
  * drops out of (or changes in) any writer shows up as a byte diff in
- * tests/driver/golden/. Regenerate deliberately with
+ * tests/driver/golden/; the runahead and lanes trace categories of one
+ * sweep are pinned the same way. Regenerate deliberately with
  * VRSIM_REGEN_GOLDEN=1.
  */
 
@@ -18,6 +19,7 @@
 
 #include "driver/report.hh"
 #include "driver/sweep_runner.hh"
+#include "obs/trace.hh"
 
 namespace vrsim
 {
@@ -112,6 +114,28 @@ TEST(GoldenOutputTest, SampledRun)
         .ffInsts(5000)
         .add({"bfs/KR"}, ALL_TECHNIQUES);
     checkShape("sample", plan);
+}
+
+/**
+ * Every runahead episode (enter/exit with kind, lanes and prefetches)
+ * and every vector-lane issue group of all eight columns on pr/KR.
+ * At this scale DVR takes stride, NDM-fallback and nested spawns, so
+ * a change to how any engine seeds, launches or labels its lanes shows
+ * up as a byte diff even where the aggregate statistics still agree.
+ */
+TEST(GoldenOutputTest, RunaheadEpisodeTrace)
+{
+    RunPlan plan = basePlan();
+    plan.roi(15000).warmup(5000).add({"pr/KR"}, ALL_TECHNIQUES);
+    std::ostringstream trace;
+    TraceSink sink(trace, uint32_t(TraceCat::Runahead) |
+                              uint32_t(TraceCat::Lanes));
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.trace = &sink;
+    ResultTable table = SweepRunner(opts).run(plan);
+    ASSERT_EQ(table.failures(), 0u);
+    checkGolden("runahead.trace.jsonl", trace.str());
 }
 
 TEST(GoldenOutputTest, DivergeReproBundle)
