@@ -58,7 +58,9 @@ cmake --build build-ci-ubsan -j "$JOBS" --target vrsim
 
 # Every technique column must commit a stream hashing identically to
 # the OoO baseline's, on real (scaled-down) workloads, in parallel.
-for spec in camel kangaroo hj2; do
+# pr/KR is the spec whose DVR column also takes NDM-fallback and
+# nested spawns at this scale.
+for spec in camel kangaroo hj2 pr/KR; do
     VRSIM_JOBS=2 build-ci-ubsan/tools/vrsim \
         --workload "$spec" --all-techniques --check-digests \
         --roi 8000 --warmup 1000 --nodes 2048 --degree 8 \

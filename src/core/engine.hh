@@ -9,11 +9,10 @@
 
 #include "isa/interp.hh"
 #include "mem/request.hh"
+#include "obs/trace.hh"
 
 namespace vrsim
 {
-
-class TraceSink;
 
 /** Why the core entered a runahead window. */
 enum class TriggerKind : uint8_t
@@ -93,6 +92,24 @@ class RunaheadEngine
     virtual void setTraceSink(TraceSink *sink) { trace_sink_ = sink; }
 
   protected:
+    /**
+     * Emit one TraceCat::Runahead episode boundary under this engine's
+     * name, when a sink with that category is attached.
+     *
+     * @param phase "enter" or "exit"
+     * @param kind  what the episode is ("window", "branch", "stride",
+     *              "nested")
+     */
+    void
+    traceRunahead(Cycle cycle, const char *phase, const char *kind,
+                  uint32_t trigger_pc, uint64_t lanes,
+                  uint64_t prefetches) const
+    {
+        if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
+            trace_sink_->runahead(cycle, phase, name(), kind, trigger_pc,
+                                  lanes, prefetches);
+    }
+
     TraceSink *trace_sink_ = nullptr;
 };
 

@@ -163,6 +163,26 @@ OooCore::runFrom(CpuState &state, uint64_t max_insts,
         return snap;
     };
 
+    // Window exhaustion: dispatch at d waits for a ROB or LQ slot that
+    // frees at slot_free. When the window's head is a long-latency
+    // load (trigger set, data back at head_fill) the engine runs once
+    // per head; a resume past the slot's release (VR's delayed
+    // termination) holds both the slot and commit. Returns the cycle
+    // dispatch may proceed at.
+    auto windowFull = [&](Cycle d, Cycle slot_free, bool trigger,
+                          uint64_t head, Cycle head_fill) {
+        if (!engine_ || !trigger || head == last_trigger_head)
+            return slot_free;
+        ++st.full_rob_stall_events;
+        last_trigger_head = head;
+        Cycle resume = engine_->onFullRobStall(d, head_fill, state);
+        if (resume <= slot_free)
+            return slot_free;
+        st.runahead_commit_stall += resume - slot_free;
+        commit_floor = std::max(commit_floor, resume);
+        return resume;
+    };
+
     uint64_t i = 0;
     for (; !state.halted && (budget == 0 || i < budget); i++) {
         // A run with no instruction budget anywhere (max_insts = 0)
@@ -264,47 +284,22 @@ OooCore::runFrom(CpuState &state, uint64_t max_insts,
             // long-latency load is the same window-exhaustion event
             // as a full ROB, and triggers runahead identically.
             st.stall_lq += lq_ring[lq_idx] - d;
+            // LQ heads are keyed apart from ROB heads by the top bit.
             uint64_t lhead = load_count >= c.load_queue
                 ? load_count - c.load_queue : 0;
-            Cycle lq_free = lq_ring[lq_idx];
-            if (engine_ && lq_trigger[lq_idx] &&
-                (lhead | (1ull << 63)) != last_trigger_head) {
-                ++st.full_rob_stall_events;
-                last_trigger_head = lhead | (1ull << 63);
-                Cycle head_fill = lq_fill[lq_idx];
-                Cycle resume = engine_->onFullRobStall(d, head_fill,
-                                                       state);
-                if (resume > lq_free) {
-                    st.runahead_commit_stall += resume - lq_free;
-                    commit_floor = std::max(commit_floor, resume);
-                    lq_free = resume;
-                }
-            }
-            d = lq_free;
+            d = windowFull(d, lq_ring[lq_idx], lq_trigger[lq_idx],
+                           lhead | (1ull << 63), lq_fill[lq_idx]);
         }
         if (si.is_store && sq_ring[sq_idx] > d) {
             st.stall_sq += sq_ring[sq_idx] - d;
             d = sq_ring[sq_idx];
         }
 
-        Cycle rob_free = rob_ring[rob_idx];
-        if (rob_free > d) {
-            st.rob_stall_cycles += rob_free - d;
+        if (rob_ring[rob_idx] > d) {
+            st.rob_stall_cycles += rob_ring[rob_idx] - d;
             uint64_t head_idx = i >= c.rob_size ? i - c.rob_size : 0;
-            if (engine_ && rob_head_trigger[rob_idx] &&
-                head_idx != last_trigger_head) {
-                ++st.full_rob_stall_events;
-                last_trigger_head = head_idx;
-                Cycle head_fill = rob_head_fill[rob_idx];
-                Cycle resume = engine_->onFullRobStall(d, head_fill,
-                                                       state);
-                if (resume > rob_free) {
-                    st.runahead_commit_stall += resume - rob_free;
-                    commit_floor = std::max(commit_floor, resume);
-                    rob_free = resume;
-                }
-            }
-            d = rob_free;
+            d = windowFull(d, rob_ring[rob_idx], rob_head_trigger[rob_idx],
+                           head_idx, rob_head_fill[rob_idx]);
         }
 
         // Width enforcement.
@@ -516,8 +511,6 @@ uint64_t
 OooCore::fastForward(CpuState &state, uint64_t max_insts, Cycle &clock,
                      bool warm)
 {
-    if (!warm && !digest_)
-        return vrsim::fastForward(prog_, state, image_, max_insts);
     if (!warm)
         return vrsim::fastForward(prog_, state, image_, max_insts,
                                   digest_);

@@ -232,7 +232,6 @@ class MemoryHierarchy
     }
 
     const MemStats &stats() const { return stats_; }
-    DramModel &dram() { return dram_; }
 
     /** Enable the IMP (constructed only for Technique::Imp). */
     void enableImp();

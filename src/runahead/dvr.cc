@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/stats_registry.hh"
-#include "obs/trace.hh"
 #include "sim/digest.hh"
 
 namespace vrsim
@@ -78,6 +77,13 @@ DecoupledVectorRunahead::maybeStartDiscovery(const StepInfo &si,
     }
 
     ++stats_.discoveries;
+    startDiscovery(si, after);
+}
+
+void
+DecoupledVectorRunahead::startDiscovery(const StepInfo &si,
+                                        const CpuState &after)
+{
     mode_ = Mode::Discovery;
     target_pc_ = si.pc;
     vtt_.init(si.inst->rd);
@@ -117,13 +123,7 @@ DecoupledVectorRunahead::discoveryStep(const StepInfo &si,
                 ++stats_.innermost_switches;
                 if (RptEntry *re = rpt_.find(si.pc))
                     re->innermost = true;
-                target_pc_ = si.pc;
-                vtt_.init(inst.rd);
-                lbd_.enter(after, si.pc);
-                stride_seen_.clear();
-                stride_seen_.insert(si.pc);
-                discovery_insts_ = 0;
-                saw_other_branch_ = false;
+                startDiscovery(si, after);
                 return;
             }
             stride_seen_.insert(si.pc);
@@ -205,73 +205,54 @@ DecoupledVectorRunahead::spawn(const StepInfo &si, const CpuState &after,
         ++stats_.dedupe_skips;
         return;
     }
+    // 1 <= k0 <= lanes_target here, so at least one lane remains.
     uint64_t lanes_n =
         std::min<uint64_t>(lanes_target - (k0 - 1),
                            cfg_.runahead.max_lanes());
-    if (lanes_n == 0) {
-        ++stats_.dedupe_skips;
-        return;
-    }
 
     // Seed the lanes: vector gathers for the striding load.
-    VectorIssueRegister vir(cfg_.runahead);
-    vir.start(cycle + 1);
-    LaneMask mask;
-    for (uint64_t j = 0; j < lanes_n; j++)
-        mask.set(j);
-    Cycle gather0 = vir.issue(mask, true);
-
-    vrat_.reset();
-    const Inst &sload = *si.inst;
-    if (sload.writesDst())
-        vrat_.vectorizeDst(sload.rd);
-
     std::vector<Lane> lanes(lanes_n);
-    uint64_t last_addr = si.addr;
-    for (uint64_t j = 0; j < lanes_n; j++) {
-        Lane &lane = lanes[j];
-        lane.ctx = after;
-        lane.ctx.pc = si.next_pc;
-        uint64_t addr = uint64_t(int64_t(si.addr) +
-                                 stride * int64_t(k0 + j));
-        last_addr = addr;
-        Cycle issue = gather0 + vir.copyOf(uint32_t(j));
-        AccessResult res = hier_.access(addr, 0, issue, false,
-                                        Requester::Runahead);
-        ++stats_.prefetches;
-        lane.ready = issue + res.latency;
-        uint64_t value = sload.op == Op::Ld32 ? image_.read32(addr)
-                                              : image_.read64(addr);
-        if (sload.writesDst())
-            lane.ctx.setReg(sload.rd, value);
-        // Advance the induction register to the lane's iteration so
-        // non-chain address math stays consistent: the lane's address
-        // is k0 + j stride steps ahead of the current iteration.
-        if (info.valid && info.induction_reg != REG_NONE) {
-            lane.ctx.regs[info.induction_reg] =
+    const Cycle chain_start =
+        executor_.seed(lanes, after, si, stride, k0, cycle + 1);
+    stats_.prefetches += lanes_n;
+    // Advance the induction register to each lane's iteration so
+    // non-chain address math stays consistent: lane j's address is
+    // k0 + j stride steps ahead of the current iteration. This follows
+    // the load's destination write, so it wins if both name one
+    // register.
+    if (info.valid && info.induction_reg != REG_NONE) {
+        for (uint64_t j = 0; j < lanes_n; j++)
+            lanes[j].ctx.regs[info.induction_reg] =
                 after.regs[info.induction_reg] +
                 uint64_t(info.increment) * (k0 + j);
-        }
     }
-    next_addr_[target_pc_] = uint64_t(int64_t(last_addr) + stride);
+    next_addr_[target_pc_] =
+        uint64_t(int64_t(si.addr) + stride * int64_t(k0 + lanes_n));
 
+    vrat_.reset();
+    if (si.inst->writesDst())
+        vrat_.vectorizeDst(si.inst->rd);
+    launch(lanes, target_pc_, flr, "stride", cycle, chain_start,
+           pf_before, &vrat_);
+}
+
+void
+DecoupledVectorRunahead::launch(std::vector<Lane> &lanes,
+                                uint32_t stride_pc, uint32_t flr,
+                                const char *kind, Cycle cycle, Cycle start,
+                                uint64_t pf_before, Vrat *vrat)
+{
     ++stats_.spawns;
-    stats_.lanes_spawned += lanes_n;
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(cycle, "enter", name(), "stride",
-                              target_pc_, lanes_n, 0);
-
-    bool stop_at_flr = flr != 0 && !saw_other_branch_;
-    LaneRunStats lr = executor_.run(lanes, target_pc_, flr, stop_at_flr,
-                                    features_.reconverge, vir.now(),
-                                    &vrat_);
+    stats_.lanes_spawned += lanes.size();
+    traceRunahead(cycle, "enter", kind, stride_pc, lanes.size(), 0);
+    LaneRunStats lr = executor_.run(lanes, stride_pc, flr,
+                                    !saw_other_branch_,
+                                    features_.reconverge, start, vrat);
     stats_.prefetches += lr.prefetches;
     stats_.divergences += lr.divergences;
     busy_until_ = lr.end_time;
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(busy_until_, "exit", name(), "stride",
-                              target_pc_, lanes_n,
-                              stats_.prefetches - pf_before);
+    traceRunahead(busy_until_, "exit", kind, stride_pc, lanes.size(),
+                  stats_.prefetches - pf_before);
 }
 
 void
@@ -333,48 +314,13 @@ DecoupledVectorRunahead::spawnNested(const StepInfo &si,
         // No outer striding load in range: fall back to vectorizing
         // the inner loop by the detected bound alone.
         ++stats_.ndm_fallbacks;
-        uint64_t lanes_n = std::min<uint64_t>(
-            std::max<uint64_t>(remaining, 1),
-            cfg_.runahead.max_lanes());
-        std::vector<Lane> lanes(lanes_n);
-        VectorIssueRegister vir(cfg_.runahead);
-        vir.start(cycle + 1);
-        LaneMask mask;
-        for (uint64_t j = 0; j < lanes_n; j++)
-            mask.set(j);
-        Cycle g0 = vir.issue(mask, true);
-        const Inst &sload = *si.inst;
-        for (uint64_t j = 0; j < lanes_n; j++) {
-            Lane &lane = lanes[j];
-            lane.ctx = after;
-            lane.ctx.pc = si.next_pc;
-            uint64_t addr = uint64_t(int64_t(si.addr) +
-                                     istride * int64_t(j + 1));
-            Cycle issue = g0 + vir.copyOf(uint32_t(j));
-            AccessResult res = hier_.access(addr, 0, issue, false,
-                                            Requester::Runahead);
-            ++stats_.prefetches;
-            lane.ready = issue + res.latency;
-            uint64_t v = sload.op == Op::Ld32 ? image_.read32(addr)
-                                              : image_.read64(addr);
-            if (sload.writesDst())
-                lane.ctx.setReg(sload.rd, v);
-        }
-        ++stats_.spawns;
-        stats_.lanes_spawned += lanes_n;
-        if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-            trace_sink_->runahead(cycle, "enter", name(), "stride",
-                                  ilr_pc, lanes_n, 0);
-        LaneRunStats lr = executor_.run(lanes, ilr_pc, lbd_.flr(),
-                                        !saw_other_branch_,
-                                        features_.reconverge, vir.now());
-        stats_.prefetches += lr.prefetches;
-        stats_.divergences += lr.divergences;
-        busy_until_ = lr.end_time;
-        if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-            trace_sink_->runahead(busy_until_, "exit", name(), "stride",
-                                  ilr_pc, lanes_n,
-                                  stats_.prefetches - pf_before);
+        std::vector<Lane> lanes(std::min<uint64_t>(
+            std::max<uint64_t>(remaining, 1), cfg_.runahead.max_lanes()));
+        const Cycle chain_start =
+            executor_.seed(lanes, after, si, istride, 1, cycle + 1);
+        stats_.prefetches += lanes.size();
+        launch(lanes, ilr_pc, lbd_.flr(), "stride", cycle, chain_start,
+               pf_before);
         return;
     }
 
@@ -412,17 +358,9 @@ DecoupledVectorRunahead::spawnNested(const StepInfo &si,
                 auto rd = [&](uint8_t r) { return ol.ctx.reg(r); };
                 ol.inner_start = effectiveAddress(iload, rd);
                 // Per-lane loop bound via the LCR registers (§4.3.1).
-                if (info.valid) {
-                    int64_t cur =
-                        int64_t(ol.ctx.regs[info.induction_reg]);
-                    int64_t bound =
-                        int64_t(ol.ctx.regs[info.bound_reg]);
-                    int64_t rem = info.increment
-                        ? (bound - cur) / info.increment : 0;
-                    ol.inner_iters = rem > 0 ? uint64_t(rem) : 0;
-                } else {
-                    ol.inner_iters = 1;
-                }
+                ol.inner_iters =
+                    LoopBoundDetector::remainingIterations(info, ol.ctx)
+                        .value_or(info.valid ? 0 : 1);
                 ol.ok = ol.inner_iters > 0;
                 break;
             }
@@ -480,22 +418,8 @@ DecoupledVectorRunahead::spawnNested(const StepInfo &si,
         return;
     }
 
-    ++stats_.spawns;
     ++stats_.nested_spawns;
-    stats_.lanes_spawned += lanes.size();
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(cycle, "enter", name(), "nested",
-                              ilr_pc, lanes.size(), 0);
-    LaneRunStats lr = executor_.run(lanes, ilr_pc, lbd_.flr(),
-                                    !saw_other_branch_,
-                                    features_.reconverge, t2);
-    stats_.prefetches += lr.prefetches;
-    stats_.divergences += lr.divergences;
-    busy_until_ = lr.end_time;
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(busy_until_, "exit", name(), "nested",
-                              ilr_pc, lanes.size(),
-                              stats_.prefetches - pf_before);
+    launch(lanes, ilr_pc, lbd_.flr(), "nested", cycle, t2, pf_before);
 }
 
 } // namespace vrsim

@@ -126,19 +126,31 @@ class DecoupledVectorRunahead : public RunaheadEngine
     }
 
     const DvrStats &stats() const { return stats_; }
-    const StrideRpt &rpt() const { return rpt_; }
-    const Vrat &vrat() const { return vrat_; }
 
   private:
     enum class Mode { Idle, Discovery };
 
     void maybeStartDiscovery(const StepInfo &si, const CpuState &after,
                              Cycle cycle);
+    /** Enter (or restart) Discovery Mode at striding load @p si. */
+    void startDiscovery(const StepInfo &si, const CpuState &after);
     void discoveryStep(const StepInfo &si, const CpuState &after,
                        Cycle cycle);
 
     /** Spawn the vector subthread at the striding load. */
     void spawn(const StepInfo &si, const CpuState &after, Cycle cycle);
+
+    /**
+     * Run seeded @p lanes as one subthread invocation from @p start:
+     * count the spawn, trace its enter/exit episode under @p kind
+     * (with prefetches counted since @p pf_before) and keep the
+     * subthread busy until the last lane access. Lanes stop at the FLR
+     * unless Discovery saw another branch. Only the stride spawn
+     * passes the VRAT, so only it models vector-register pressure.
+     */
+    void launch(std::vector<Lane> &lanes, uint32_t stride_pc,
+                uint32_t flr, const char *kind, Cycle cycle, Cycle start,
+                uint64_t pf_before, Vrat *vrat = nullptr);
 
     /** Nested Discovery Mode + expanded vectorization (§4.3). */
     void spawnNested(const StepInfo &si, const CpuState &after,

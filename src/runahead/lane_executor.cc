@@ -40,6 +40,37 @@ sourcesUniform(const Inst &inst, const std::vector<Lane> &lanes,
 
 } // namespace
 
+Cycle
+LaneExecutor::seed(std::vector<Lane> &lanes, const CpuState &from,
+                   const StepInfo &load, int64_t stride, uint64_t first,
+                   Cycle start)
+{
+    VectorIssueRegister vir(cfg_);
+    vir.start(start);
+    LaneMask all;
+    for (unsigned j = 0; j < lanes.size(); j++)
+        all.set(j);
+    const Cycle gather0 = vir.issue(all, true);
+
+    const Inst &sload = *load.inst;
+    for (unsigned j = 0; j < lanes.size(); j++) {
+        Lane &lane = lanes[j];
+        lane.ctx = from;
+        lane.ctx.pc = load.next_pc;
+        uint64_t addr = uint64_t(int64_t(load.addr) +
+                                 stride * int64_t(first + j));
+        Cycle issue = gather0 + vir.copyOf(j);
+        AccessResult res = hier_.access(addr, 0, issue, false,
+                                        Requester::Runahead);
+        lane.ready = issue + res.latency;
+        uint64_t value = sload.op == Op::Ld32 ? image_.read32(addr)
+                                              : image_.read64(addr);
+        if (sload.writesDst())
+            lane.ctx.setReg(sload.rd, value);
+    }
+    return vir.now();
+}
+
 LaneRunStats
 LaneExecutor::run(std::vector<Lane> &lanes, uint32_t stride_pc,
                   uint32_t flr_pc, bool stop_at_flr, bool reconverge,
@@ -130,7 +161,6 @@ LaneExecutor::run(std::vector<Lane> &lanes, uint32_t stride_pc,
             if (vectorized) {
                 if (!vrat->isVectorized(inst.rd) &&
                     !vrat->vectorizeDst(inst.rd)) {
-                    st.vrat_stalls += cfg_.vector_regs;
                     vir.waitUntil(vir.now() + cfg_.vector_regs);
                     vrat->vectorizeDst(inst.rd);
                 }
@@ -260,12 +290,9 @@ LaneExecutor::run(std::vector<Lane> &lanes, uint32_t stride_pc,
                 break;
             if (!stack.push(group_pc, group)) {
                 // Stack full: these lanes are dropped.
-                for (unsigned j = 0; j < lanes.size(); j++) {
-                    if (group.test(j)) {
+                for (unsigned j = 0; j < lanes.size(); j++)
+                    if (group.test(j))
                         lanes[j].done = true;
-                        ++st.reconv_drops;
-                    }
-                }
             }
         }
         pc = lead_pc;

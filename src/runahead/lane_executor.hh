@@ -41,9 +41,6 @@ struct LaneRunStats
     uint64_t insts = 0;         //!< total scalar-equivalent µops
     uint64_t divergences = 0;   //!< divergent branch events
     uint64_t invalidated = 0;   //!< lanes killed (VR mode divergence)
-    uint64_t reconv_drops = 0;  //!< groups dropped on stack overflow
-    uint64_t vrat_stalls = 0;   //!< cycles stalled on the register
-                                //!< free list (VRAT exhausted)
     Cycle end_time = 0;         //!< cycle the last access was issued
 };
 
@@ -62,6 +59,25 @@ class LaneExecutor
         : cfg_(cfg), prog_(prog), image_(image), hier_(hier),
           invariant_checks_(invariant_checks)
     {}
+
+    /**
+     * Vectorize a striding load as one full-mask VIR gather: lane j
+     * loads iteration @p first + j, at load.addr + stride * (first +
+     * j), in VIR copy j / lanes_per_vector. Every lane gets a copy of
+     * @p from with the loaded value in the load's destination and its
+     * pc at the instruction after the load, ready for run().
+     *
+     * @param lanes the lanes to seed (at most MAX_LANES)
+     * @param first iteration of lane 0, counted from @p load's own
+     * @param start VIR timeline start; at or after the triggering
+     *              stall's dispatch point, so every gather access
+     *              honours the calendar-horizon floor
+     *              (docs/performance.md)
+     * @return the VIR time at which the dependence chain starts
+     */
+    Cycle seed(std::vector<Lane> &lanes, const CpuState &from,
+               const StepInfo &load, int64_t stride, uint64_t first,
+               Cycle start);
 
     /**
      * Execute the given lanes from their shared current pc until each

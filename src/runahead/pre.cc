@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "obs/trace.hh"
 #include "sim/digest.hh"
 
 namespace vrsim
@@ -22,9 +21,7 @@ PreEngine::onFullRobStall(Cycle stall_start, Cycle head_fill,
         return head_fill;
     ++stats_.intervals;
     const uint64_t pf_before = stats_.prefetches;
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(stall_start, "enter", name(), "window",
-                              frontier.pc, 0, 0);
+    traceRunahead(stall_start, "enter", "window", frontier.pc, 0, 0);
 
     // Runahead executes future instructions using the front-end's
     // delivery rate for the duration of the interval. We track
@@ -87,10 +84,8 @@ PreEngine::onFullRobStall(Cycle stall_start, Cycle head_fill,
         }
     }
 
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(head_fill, "exit", name(), "window",
-                              frontier.pc, 0,
-                              stats_.prefetches - pf_before);
+    traceRunahead(head_fill, "exit", "window", frontier.pc, 0,
+                  stats_.prefetches - pf_before);
     return head_fill;   // PRE exits when the blocking load returns
 }
 

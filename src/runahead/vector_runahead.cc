@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hh"
 #include "sim/digest.hh"
 
 namespace vrsim
@@ -30,9 +29,8 @@ VectorRunahead::onFullRobStall(Cycle stall_start, Cycle head_fill,
     // wrong-path window, so both trigger kinds engage it.
     ++stats_.triggers;
     const uint64_t pf_before = stats_.prefetches;
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(stall_start, "enter", name(),
-                              triggerKindName(kind), frontier.pc, 0, 0);
+    const char *kind_name = triggerKindName(kind);
+    traceRunahead(stall_start, "enter", kind_name, frontier.pc, 0, 0);
 
     // The whole runahead interval (scan + vectorized lanes) is
     // transient execution: the guard makes any commit recorded inside
@@ -60,10 +58,7 @@ VectorRunahead::onFullRobStall(Cycle stall_start, Cycle head_fill,
         }
     }
     if (!entry) {
-        if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-            trace_sink_->runahead(head_fill, "exit", name(),
-                                  triggerKindName(kind), frontier.pc,
-                                  0, 0);
+        traceRunahead(head_fill, "exit", kind_name, frontier.pc, 0, 0);
         return head_fill;
     }
 
@@ -71,49 +66,23 @@ VectorRunahead::onFullRobStall(Cycle stall_start, Cycle head_fill,
 
     // Speculatively vectorize: 128 lanes covering the next 128
     // iterations of the striding load, unconditionally (VR has no
-    // loop-bound inference — the source of its over-fetching).
-    const uint32_t lanes_n = cfg_.runahead.max_lanes();
-    const int64_t stride = entry->stride;
-    const uint64_t base = hit.addr;
-
-    // The vector gathers for the striding load itself: 16 AVX-512
-    // copies issued back to back starting one cycle into runahead.
-    VectorIssueRegister vir(cfg_.runahead);
-    Cycle t0 = stall_start + cfg_.core.frontend_stages / 3 +
-               scanned / cfg_.core.width;
-    vir.start(t0);
-    LaneMask all;
-    for (uint32_t j = 0; j < lanes_n; j++)
-        all.set(j);
-    Cycle gather0 = vir.issue(all, true);
-
-    std::vector<Lane> lanes(lanes_n);
-    const Inst &sload = *hit.inst;
-    for (uint32_t j = 0; j < lanes_n; j++) {
-        Lane &lane = lanes[j];
-        lane.ctx = scan;
-        lane.ctx.pc = hit.next_pc;
-        uint64_t addr = uint64_t(int64_t(base) + stride * int64_t(j + 1));
-        // gather0 >= the triggering stall's dispatch point, so every
-        // lane access honours the calendar-horizon floor
-        // (docs/performance.md) and never lands in retired history.
-        Cycle issue = gather0 + vir.copyOf(j);
-        AccessResult res = hier_.access(addr, 0, issue, false,
-                                        Requester::Runahead);
-        ++stats_.prefetches;
-        lane.ready = issue + res.latency;
-        uint64_t value = sload.op == Op::Ld32 ? image_.read32(addr)
-                                              : image_.read64(addr);
-        if (sload.writesDst())
-            lane.ctx.setReg(sload.rd, value);
-    }
-    stats_.lanes_spawned += lanes_n;
+    // loop-bound inference — the source of its over-fetching). The
+    // vector gathers for the striding load itself are 16 AVX-512
+    // copies issued back to back once the front end has delivered the
+    // scanned instructions.
+    std::vector<Lane> lanes(cfg_.runahead.max_lanes());
+    const Cycle chain_start = executor_.seed(
+        lanes, scan, hit, entry->stride, 1,
+        stall_start + cfg_.core.frontend_stages / 3 +
+            scanned / cfg_.core.width);
+    stats_.prefetches += lanes.size();
+    stats_.lanes_spawned += lanes.size();
 
     // Run the dependence chain: VR follows the first lane's control
     // flow and invalidates divergent lanes; it does not know the FLR,
     // so lanes run until the next occurrence of the striding load.
     LaneRunStats lr = executor_.run(lanes, hit.pc, 0, false, false,
-                                    vir.now());
+                                    chain_start);
     stats_.prefetches += lr.prefetches;
     stats_.lanes_invalidated += lr.invalidated;
 
@@ -121,10 +90,8 @@ VectorRunahead::onFullRobStall(Cycle stall_start, Cycle head_fill,
     // accesses have been generated.
     Cycle exit = std::max(head_fill, lr.end_time);
     stats_.delayed_term_cycles += exit - head_fill;
-    if (trace_sink_ && trace_sink_->enabled(TraceCat::Runahead))
-        trace_sink_->runahead(exit, "exit", name(),
-                              triggerKindName(kind), frontier.pc,
-                              lanes_n, stats_.prefetches - pf_before);
+    traceRunahead(exit, "exit", kind_name, frontier.pc, lanes.size(),
+                  stats_.prefetches - pf_before);
     return exit;
 }
 

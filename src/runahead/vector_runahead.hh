@@ -60,7 +60,7 @@ class VectorRunahead : public RunaheadEngine
   public:
     VectorRunahead(const SystemConfig &cfg, const Program &prog,
                    MemoryImage &image, MemoryHierarchy &hier)
-        : cfg_(cfg), prog_(prog), image_(image), hier_(hier),
+        : cfg_(cfg), prog_(prog), image_(image),
           rpt_(cfg.runahead.stride_entries,
                uint8_t(cfg.runahead.stride_confidence)),
           executor_(cfg_.runahead, prog, image, hier,
@@ -87,13 +87,11 @@ class VectorRunahead : public RunaheadEngine
     }
 
     const VrStats &stats() const { return stats_; }
-    const StrideRpt &rpt() const { return rpt_; }
 
   private:
     const SystemConfig &cfg_;
     const Program &prog_;
     MemoryImage &image_;
-    MemoryHierarchy &hier_;
     StrideRpt rpt_;
     LaneExecutor executor_;
     VrStats stats_;

@@ -284,6 +284,62 @@ TEST_F(LaneExecTest, FlrLoadLanesAllIssueInFirstCopy)
     EXPECT_EQ(st.end_time, start + 3);
 }
 
+TEST_F(LaneExecTest, SeedGathersEachLaneIterationInVirCopyOrder)
+{
+    // Seeding 20 lanes from a striding load with first = 3: lane j
+    // loads iteration 3 + j in VIR copy j / 8 and resumes after the
+    // load with the element in its destination and the rest of the
+    // seed state. The chain starts once the gather's ceil(20 / 8) = 3
+    // copies have issued. A 32-bit load seeds 32-bit elements.
+    ProgramBuilder bb("seed");
+    bb.nop();                       // pc 0
+    bb.ld(2, 1);                    // pc 1: the striding load
+    bb.ld32(3, 1);                  // pc 2: the same, 32 bits wide
+    Program p = bb.build();
+
+    const uint64_t base = 0x40000;
+    const int64_t stride = 64;
+    for (unsigned k = 0; k < 23; k++)
+        image.write64(base + k * stride, (uint64_t(k) << 32) | (100 + k));
+    CpuState from;
+    from.regs[5] = 77;
+    StepInfo load;
+    load.pc = 1;
+    load.next_pc = 2;
+    load.inst = &p.at(1);
+    load.addr = base;
+
+    std::vector<Lane> lanes(20);
+    LaneExecutor ex(cfg.runahead, p, image, hier);
+    const Cycle start = 1000;
+    Cycle chain_start = 0;
+    auto issued = issueCycles([&] {
+        chain_start = ex.seed(lanes, from, load, stride, 3, start);
+    });
+
+    EXPECT_EQ(chain_start, start + 3);
+    EXPECT_EQ(issued.size(), 20u);
+    for (unsigned j = 0; j < 20; j++) {
+        const uint64_t addr = base + (3 + j) * stride;
+        ASSERT_EQ(issued.count(addr), 1u) << "lane " << j;
+        EXPECT_EQ(issued[addr], start + j / 8) << "lane " << j;
+        EXPECT_GT(lanes[j].ready, issued[addr]) << "lane " << j;
+        EXPECT_EQ(lanes[j].ctx.pc, 2u);
+        EXPECT_EQ(lanes[j].ctx.regs[2], ((3ull + j) << 32) | (103 + j));
+        EXPECT_EQ(lanes[j].ctx.regs[5], 77u);
+        EXPECT_FALSE(lanes[j].done);
+    }
+
+    load.pc = 2;
+    load.next_pc = 3;
+    load.inst = &p.at(2);
+    ex.seed(lanes, from, load, stride, 3, start);
+    for (unsigned j = 0; j < 20; j++) {
+        EXPECT_EQ(lanes[j].ctx.pc, 3u);
+        EXPECT_EQ(lanes[j].ctx.regs[3], 103u + j) << "lane " << j;
+    }
+}
+
 TEST_F(LaneExecTest, TimeoutTerminatesRunawayLanes)
 {
     // An infinite loop that never returns to the stride pc.
