@@ -9,17 +9,19 @@
 # differential-check stage under standalone UBSan: a small real grid
 # with --check-digests (every technique's committed stream must hash
 # identically to the OoO baseline's) plus a repro-bundle replay
-# round-trip smoke. A throughput stage regenerates
-# BENCH_throughput.json (two specs, all techniques, enriched with
-# commit/date/simulated-inst counts) and fails on a >20% camel:OoO
-# regression against the committed file (override: VRSIM_PERF_OVERRIDE=1;
-# docs/performance.md). A docs stage checks README/--help flag parity,
+# round-trip smoke. A figures stage regenerates every paper table,
+# figure and ablation with scripts/run_all.sh and compares the output
+# byte for byte with the committed experiments/ files. A throughput
+# stage regenerates BENCH_throughput.json (two specs, all techniques,
+# enriched with commit/date/simulated-inst counts) and fails on a >20%
+# camel:OoO regression against the committed file (override:
+# VRSIM_PERF_OVERRIDE=1; docs/performance.md). A docs stage checks README/--help flag parity,
 # exit-code parity across robustness.md / --help / README, and
-# docs/performance.md knob+schema parity,
+# docs/performance.md knob+schema parity, that every table
+# EXPERIMENTS.md quotes is a verbatim excerpt of a committed output,
 # renders a trace through tools/trace2chrome.py under the ASan build,
 # and builds the Doxygen API reference when doxygen is installed.
-# Bench smoke tests are included; the full figure sweeps live in
-# scripts/run_all.sh.
+# The test suite pins every figure at a smoke scale (bench_smoke_*).
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -169,6 +171,22 @@ print(f"sampling stage: sampled CPI {mean:.3f} +- {ci:.3f} covers "
       f"full-detail {ref:.3f} (ASan)")
 EOF
 
+echo "=== figures stage (plain build, committed outputs) ==="
+# Every paper table, figure and ablation at the EXPERIMENTS.md scale,
+# and Fig. 7 at 4x, regenerated and compared byte for byte with the
+# committed experiments/ files (scripts/run_all.sh holds the flags).
+FIG_DIR="$(mktemp -d)"
+trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$FIG_DIR"' EXIT
+VRSIM_JOBS="$JOBS" bash scripts/run_all.sh build-ci "$FIG_DIR" >/dev/null
+for f in figures.txt fig7_performance.4x.txt; do
+    if ! cmp "experiments/$f" "$FIG_DIR/$f"; then
+        echo "figures stage: experiments/$f differs from a fresh run" \
+            "(regenerate with scripts/run_all.sh and review the diff)" >&2
+        exit 1
+    fi
+done
+echo "figures stage: experiments/ matches a fresh run of every figure"
+
 echo "=== throughput baseline (plain build, self-profiler) ==="
 # Publish the host-side simulation throughput the plain build achieves
 # (PR 4 self-profiler host.* columns) as BENCH_throughput.json — two
@@ -184,7 +202,7 @@ echo "=== throughput baseline (plain build, self-profiler) ==="
 # (best of 3 x 50M instructions) and published as the top-level
 # "ff" entry.
 THRU_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$THRU_DIR"' EXIT
+trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$FIG_DIR" "$THRU_DIR"' EXIT
 for trial in 1 2 3 4 5; do
     for spec in camel kangaroo; do
         VRSIM_JOBS=2 build-ci/tools/vrsim \
@@ -337,9 +355,8 @@ for key in $(python3 -c \
 done
 echo "docs check: docs/performance.md covers skip knobs + BENCH schema"
 
-# Sampling doc (docs/sampling.md): the CLI flags and environment
-# knobs the sampling subsystem exposes must be documented there, and
-# the documented knobs must still exist in the tree (drift guard).
+# Sampling doc (docs/sampling.md): the CLI flags the sampling
+# subsystem exposes must be documented there (drift guard).
 for flag in ff-insts sample digest-json; do
     if ! grep -q -- "--$flag" docs/sampling.md; then
         echo "docs check: --$flag undocumented in docs/sampling.md" >&2
@@ -351,23 +368,42 @@ for flag in ff-insts sample digest-json; do
         exit 1
     fi
 done
-for knob in VRSIM_FF_INSTS VRSIM_SAMPLE; do
-    if ! grep -q "$knob" docs/sampling.md; then
-        echo "docs check: $knob undocumented in docs/sampling.md" >&2
-        exit 1
-    fi
-    if ! grep -q "$knob" bench/bench_common.hh; then
-        echo "docs check: $knob knob gone from bench/bench_common.hh" \
-            "but still documented" >&2
-        exit 1
-    fi
-done
-echo "docs check: docs/sampling.md covers sampling flags + env knobs"
+echo "docs check: docs/sampling.md covers the sampling flags"
+
+# EXPERIMENTS.md quotes its tables from the committed figure outputs:
+# a fenced block whose info string names a file (```text
+# experiments/figures.txt) may hold only lines of that file.
+python3 - <<'EOF'
+import re, sys
+blocks, bad, quote = 0, [], None
+for n, line in enumerate(open("EXPERIMENTS.md"), 1):
+    line = line.rstrip("\n")
+    if quote is None:
+        m = re.match(r"^```\S*\s+(\S+)\s*$", line)
+        if m:
+            blocks += 1
+            path = m.group(1)
+            quote = set(open(path).read().split("\n"))
+    elif line.startswith("```"):
+        quote = None
+    elif line not in quote:
+        bad.append(f"EXPERIMENTS.md:{n}: not a line of {path}: {line!r}")
+if quote is not None:
+    sys.exit("docs check: EXPERIMENTS.md ends inside a quoted block")
+if not blocks:
+    sys.exit("docs check: EXPERIMENTS.md quotes no committed output")
+if bad:
+    sys.exit("docs check: quoted tables drifted from their files:\n"
+             + "\n".join(bad))
+print(f"docs check: all {blocks} quoted EXPERIMENTS.md tables match "
+      "their committed outputs")
+EOF
 
 # Trace schema end-to-end under ASan: emit a real trace, convert it,
 # and require valid Chrome-tracing JSON out the other side.
 TRACE_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$THRU_DIR" "$TRACE_DIR"' EXIT
+trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$FIG_DIR" "$THRU_DIR" \
+    "$TRACE_DIR"' EXIT
 build-ci-asan/tools/vrsim --workload camel --technique vr \
     --roi 6000 --warmup 500 --nodes 2048 --degree 8 \
     --trace "all:$TRACE_DIR/t.ndjson" --format csv >/dev/null 2>&1

@@ -1,51 +1,29 @@
 #!/usr/bin/env bash
-# Build, test, and regenerate every paper table/figure.
+# Regenerate the committed figure outputs that EXPERIMENTS.md quotes:
+#   figures.txt               every paper table, figure and ablation
+#                             (vrsim --figure all) at the EXPERIMENTS.md
+#                             scale
+#   fig7_performance.4x.txt   Fig. 7 at 4x that scale ("Scale
+#                             stability")
+# scripts/ci.sh runs this into a temporary directory and compares the
+# result with experiments/ byte for byte. The output does not depend on
+# VRSIM_JOBS (the sweep worker count), only on the code.
 #
-# Benchmark binaries run fault-isolated: one failing experiment is
-# recorded in the summary table instead of aborting the sweep (see
-# docs/robustness.md). Exit status is nonzero if anything failed.
-#
-# Usage: scripts/run_all.sh [build-dir]
-set -uo pipefail
+# Usage: scripts/run_all.sh [build-dir] [out-dir]
+#   build-dir  CMake build tree vrsim is built in (default build)
+#   out-dir    directory the two files are written to (default
+#              experiments)
+# Both paths are relative to the repository root.
+set -euo pipefail
 BUILD="${1:-build}"
+OUT="${2:-experiments}"
 cd "$(dirname "$0")/.."
 
-# Build + unit tests must succeed before any sweep is worth running.
-set -e
-if [ -f "$BUILD/CMakeCache.txt" ]; then
-    cmake -B "$BUILD"
-else
-    cmake -B "$BUILD" -G Ninja
-fi
-cmake --build "$BUILD"
-ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
-set +e
-
-declare -a names statuses
-failures=0
-: > bench_output.txt
-for b in "$BUILD"/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name=$(basename "$b")
-    echo "### $name" | tee -a bench_output.txt
-    "$b" >> bench_output.txt 2>&1
-    rc=$?
-    names+=("$name")
-    if [ "$rc" -eq 0 ]; then
-        statuses+=("pass")
-    else
-        statuses+=("FAIL (exit $rc)")
-        failures=$((failures + 1))
-    fi
-done
-
-echo
-echo "=== benchmark summary ==="
-for i in "${!names[@]}"; do
-    printf '%-40s %s\n' "${names[$i]}" "${statuses[$i]}"
-done
-
-if [ "$failures" -ne 0 ]; then
-    echo "error: $failures benchmark binaries failed (see bench_output.txt)" >&2
-    exit 1
-fi
+[ -f "$BUILD/CMakeCache.txt" ] || cmake -B "$BUILD" -S .
+cmake --build "$BUILD" --target vrsim
+mkdir -p "$OUT"
+"$BUILD/tools/vrsim" --figure all --nodes 16384 --elems 65536 \
+    --warmup 25000 >"$OUT/figures.txt"
+"$BUILD/tools/vrsim" --figure fig7_performance --nodes 65536 \
+    --elems 262144 --roi 400000 --warmup 25000 \
+    >"$OUT/fig7_performance.4x.txt"

@@ -3,8 +3,9 @@
  * Declarative experiment plans: a RunPlan names a grid (or union of
  * grids) of workload-spec × technique-column × config-variant points
  * with stable IDs, and a ResultTable holds the finished sweep for
- * rendering — figure binaries describe *what* to run here and hand
- * *how* to the SweepRunner (sweep_runner.hh).
+ * rendering — figures (driver/figures.hh) and the vrsim CLI describe
+ * *what* to run here and hand *how* to the SweepRunner
+ * (sweep_runner.hh).
  */
 
 #ifndef VRSIM_DRIVER_PLAN_HH
@@ -55,8 +56,8 @@ struct ConfigVariant
 /**
  * A declarative sweep description. Build it from grids:
  *
- *   RunPlan plan(env.cfg);
- *   plan.scale(env.gscale, env.hscale).roi(env.roi).warmup(env.warmup)
+ *   RunPlan plan(cfg);
+ *   plan.scale(gscale, hscale).roi(150'000).warmup(25'000)
  *       .add(allBenchmarkSpecs(),
  *            {Technique::OoO, Technique::Vr, Technique::Dvr});
  *
@@ -141,6 +142,14 @@ class RunPlan
         inject_arg_ = arg;
         return *this;
     }
+
+    /** What every point starts from: the base configuration (before
+     *  any variant's tweak), the input scales and the budgets. */
+    const SystemConfig &config() const { return base_; }
+    const GraphScale &graphScale() const { return gscale_; }
+    const HpcDbScale &hpcDbScale() const { return hscale_; }
+    uint64_t roi() const { return roi_; }
+    uint64_t warmup() const { return warmup_; }
 
     /** The resolved grid, in stable declaration order. */
     std::vector<RunPoint> points() const;

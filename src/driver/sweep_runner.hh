@@ -99,11 +99,11 @@ struct SweepOptions
 
     // ---- process isolation (--isolation process) ----
 
-    /** Execution backend; see Isolation. VRSIM_ISOLATION / --isolation. */
+    /** Execution backend; see Isolation (--isolation). */
     Isolation isolation = Isolation::Thread;
 
     /** Wall-clock deadline per cell attempt in ms; 0 = none
-     *  (--cell-timeout, VRSIM_CELL_TIMEOUT in seconds). */
+     *  (--cell-timeout, in seconds). */
     uint64_t cell_timeout_ms = 0;
 
     /** RLIMIT_AS per cell in MiB; 0 = none (--cell-mem-mb). Do not
@@ -113,9 +113,9 @@ struct SweepOptions
     /** RLIMIT_CPU per cell in seconds; 0 = none (--cell-cpu-s). */
     uint64_t cell_cpu_s = 0;
 
-    /** Extra attempts after a process-grade cell death (--retries,
-     *  VRSIM_RETRIES). Guarded in-taxonomy failures (fatal, panic,
-     *  hang, diverged) are never retried. */
+    /** Extra attempts after a process-grade cell death (--retries).
+     *  Guarded in-taxonomy failures (fatal, panic, hang, diverged)
+     *  are never retried. */
     unsigned retries = 0;
 
     /** First retry delay in ms, doubling per retry (--backoff-ms). */

@@ -360,7 +360,7 @@ DecoupledVectorRunahead::spawnNested(const StepInfo &si,
                 // Per-lane loop bound via the LCR registers (§4.3.1).
                 ol.inner_iters =
                     LoopBoundDetector::remainingIterations(info, ol.ctx)
-                        .value_or(info.valid ? 0 : 1);
+                        .value_or(0);
                 ol.ok = ol.inner_iters > 0;
                 break;
             }
@@ -402,11 +402,9 @@ DecoupledVectorRunahead::spawnNested(const StepInfo &si,
                                               : image_.read64(addr);
             if (iload.writesDst())
                 lane.ctx.setReg(iload.rd, v);
-            if (info.valid) {
-                lane.ctx.regs[info.induction_reg] =
-                    ol.ctx.regs[info.induction_reg] +
-                    uint64_t(info.increment) * m;
-            }
+            lane.ctx.regs[info.induction_reg] =
+                ol.ctx.regs[info.induction_reg] +
+                uint64_t(info.increment) * m;
             lanes.push_back(lane);
         }
         if (lanes.size() >= cfg_.runahead.max_lanes())

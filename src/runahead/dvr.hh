@@ -152,7 +152,12 @@ class DecoupledVectorRunahead : public RunaheadEngine
                 uint32_t flr, const char *kind, Cycle cycle, Cycle start,
                 uint64_t pf_before, Vrat *vrat = nullptr);
 
-    /** Nested Discovery Mode + expanded vectorization (§4.3). */
+    /**
+     * Nested Discovery Mode + expanded vectorization (§4.3).
+     * Precondition: @p info is a valid inference, i.e.
+     * LoopBoundDetector::remainingIterations(info, after) returned
+     * @p remaining.
+     */
     void spawnNested(const StepInfo &si, const CpuState &after,
                      Cycle cycle, const LoopBoundInfo &info,
                      uint64_t remaining);

@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include <cctype>
+
 #include "runahead/hardware_budget.hh"
 #include "runahead/reconv_stack.hh"
 #include "sim/logging.hh"
@@ -213,9 +215,14 @@ techniqueFromName(const std::string &name)
         Technique::DvrOffload,  Technique::DvrDiscovery,
         Technique::Dvr,         Technique::Oracle,
     };
+    auto lower = [](std::string s) {
+        for (char &c : s)
+            c = char(std::tolower((unsigned char)c));
+        return s;
+    };
     std::string valid;
     for (Technique t : all) {
-        if (techniqueName(t) == name)
+        if (lower(techniqueName(t)) == lower(name))
             return t;
         if (!valid.empty())
             valid += ", ";

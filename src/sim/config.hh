@@ -134,8 +134,9 @@ std::string techniqueName(Technique t);
 
 /**
  * Inverse of techniqueName: parse a technique from its printable name
- * (case-sensitive, e.g. "DVR-Offload"). fatal() on unknown names,
- * listing the valid ones. Shared by the CLI and repro-bundle replay.
+ * in any case ("DVR-Offload", "dvr-offload"). fatal() on unknown
+ * names, listing the valid ones. Shared by the CLI and repro-bundle
+ * replay.
  */
 Technique techniqueFromName(const std::string &name);
 

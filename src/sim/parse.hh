@@ -4,10 +4,11 @@
  * machine-readable artifact (repro bundles, sweep journals).
  *
  * strtoull's silent-zero on garbage would e.g. turn `--roi garbage`
- * or `VRSIM_ROI=garbage` into an unlimited-budget run; these helpers
- * reject non-numeric, trailing-junk, negative and overflowing values
- * with the offending flag/variable named, via fatal() so callers can
- * map the failure onto their usual FatalError handling.
+ * into an unlimited-budget run, or `VRSIM_JOBS=garbage` into one
+ * worker per core; these helpers reject non-numeric, trailing-junk,
+ * negative and overflowing values with the offending flag/variable
+ * named, via fatal() so callers can map the failure onto their usual
+ * FatalError handling.
  *
  * JsonValue is a deliberately small, strict JSON reader in the same
  * spirit: repro bundles and checkpoint journals must either parse

@@ -3,7 +3,7 @@
  * Qualitative paper-claims tests: the key *shapes* of the paper's
  * evaluation, checked on small inputs so they run in CI time. These
  * are the repository's regression net for the reproduction itself;
- * the bench/ binaries regenerate the full figures.
+ * `vrsim --figure` regenerates the full figures (driver/figures.hh).
  */
 
 #include <gtest/gtest.h>
@@ -131,8 +131,8 @@ TEST(PaperClaimsTest, VrGainShrinksWithRobSizeDvrHolds)
     // Fig. 2: the VR-over-OoO edge narrows with ROB size.
     EXPECT_LT(vr_big / ooo_big, vr_small / ooo_small);
     // Fig. 12: DVR's normalized IPC holds (and, over the full suite,
-    // grows -- see bench/fig12_rob_sweep_dvr) with ROB size; on this
-    // single benchmark at CI scale allow flat-within-noise.
+    // grows -- see vrsim --figure fig12_rob_sweep_dvr) with ROB size;
+    // on this single benchmark at CI scale allow flat-within-noise.
     EXPECT_GT(dvr_big, 0.97 * dvr_small);
     EXPECT_GT(dvr_big, vr_big);
 }

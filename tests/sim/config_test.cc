@@ -72,6 +72,35 @@ TEST(ConfigTest, TechniqueNames)
     EXPECT_EQ(techniqueName(Technique::Oracle), "Oracle");
 }
 
+TEST(ConfigTest, TechniqueFromNameAcceptsReportAndLowerCaseSpellings)
+{
+    const std::pair<const char *, Technique> names[] = {
+        {"ooo", Technique::OoO},
+        {"pre", Technique::Pre},
+        {"imp", Technique::Imp},
+        {"vr", Technique::Vr},
+        {"dvr-offload", Technique::DvrOffload},
+        {"dvr-discovery", Technique::DvrDiscovery},
+        {"dvr", Technique::Dvr},
+        {"oracle", Technique::Oracle},
+    };
+    for (const auto &[lower, t] : names) {
+        EXPECT_EQ(techniqueFromName(lower), t) << lower;
+        EXPECT_EQ(techniqueFromName(techniqueName(t)), t) << lower;
+    }
+    try {
+        techniqueFromName("ooo2");
+        FAIL() << "unknown technique accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("ooo2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("valid: OoO, PRE, IMP, VR, DVR-Offload, "
+                           "DVR-Discovery, DVR, Oracle"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(ConfigTest, PrintConfigMentionsKeyStructures)
 {
     std::ostringstream os;

@@ -5,13 +5,20 @@
  * CSV row, or machine-readable JSON. Runs are described as a RunPlan
  * and executed by the SweepRunner, so --all-techniques sweeps share
  * one workload build and can run in parallel (--jobs / VRSIM_JOBS).
+ * --figure runs one of the paper's tables, figures or ablations
+ * (driver/figures.hh) on the plan the other flags describe.
  *
  * Usage:
  *   vrsim [options]
  *     --workload SPEC     bfs/KR, camel, hj8, ... (default camel)
  *     --technique NAME    ooo|pre|imp|vr|dvr-offload|dvr-discovery|
- *                         dvr|oracle (default dvr)
+ *                         dvr|oracle in any case (default dvr)
  *     --all-techniques    run every technique, print a speedup table
+ *     --figure NAME|all   print a paper table, figure or ablation
+ *                         (fig7_performance, ...; all = every one in
+ *                         order); takes the scale, config and sweep
+ *                         flags, not --workload, --technique,
+ *                         --all-techniques, --format or --replay
  *     --jobs N            worker threads for sweeps (default
  *                         VRSIM_JOBS or 1; 0 = hardware concurrency)
  *     --roi N             dynamic-instruction budget (default 150000)
@@ -28,9 +35,9 @@
  *     --rob N             ROB entries (default 350)
  *     --mshrs N           L1D MSHRs (default 24)
  *     --lanes N           DVR scalar-equivalent lanes (default 128)
- *     --nodes N           graph nodes (default 16384)
+ *     --nodes N           graph nodes (default 32768)
  *     --degree N          graph average degree (default 16)
- *     --elems N           hpc-db elements (default 65536)
+ *     --elems N           hpc-db elements (default 131072)
  *     --watchdog-cycles N forward-progress watchdog bound (0 = off)
  *     --keep-going        record failed runs in a sweep and continue
  *     --inject-fail NAME[:KIND]
@@ -106,7 +113,9 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 
+#include "driver/figures.hh"
 #include "driver/report.hh"
 #include "driver/repro.hh"
 #include "driver/sweep_runner.hh"
@@ -125,20 +134,6 @@ constexpr int EXIT_USAGE = 2;
 constexpr int EXIT_PANIC_OR_HANG = 70;  //!< sysexits EX_SOFTWARE
 
 enum class Format { Table, Csv, Json };
-
-Technique
-parseTechnique(const std::string &s)
-{
-    if (s == "ooo") return Technique::OoO;
-    if (s == "pre") return Technique::Pre;
-    if (s == "imp") return Technique::Imp;
-    if (s == "vr") return Technique::Vr;
-    if (s == "dvr-offload") return Technique::DvrOffload;
-    if (s == "dvr-discovery") return Technique::DvrDiscovery;
-    if (s == "dvr") return Technique::Dvr;
-    if (s == "oracle") return Technique::Oracle;
-    fatal("unknown technique: " + s);
-}
 
 Format
 parseFormat(const std::string &s)
@@ -207,7 +202,8 @@ printUsage(std::ostream &os)
 {
     os <<
         "usage: vrsim [--workload SPEC] [--technique NAME]\n"
-        "             [--all-techniques] [--jobs N] [--roi N]\n"
+        "             [--all-techniques] [--figure NAME|all]\n"
+        "             [--jobs N] [--roi N]\n"
         "             [--warmup N] [--ff-insts N] [--sample N:M[:W]]\n"
         "             [--rob N] [--mshrs N] [--lanes N]\n"
         "             [--nodes N] [--degree N] [--elems N]\n"
@@ -255,6 +251,8 @@ main(int argc, char **argv)
     std::string stats_json_path;
     std::string digest_json_path;
     std::string sample_spec;
+    std::string figure;
+    std::string run_flag;  // last flag that picks what a plain run does
     uint64_t ff_insts = 0;
     bool all_techniques = false;
     bool keep_going = false;
@@ -278,9 +276,14 @@ main(int argc, char **argv)
     try {
         for (int i = 1; i < argc; i++) {
             std::string a = argv[i];
+            if (a == "--workload" || a == "--technique" ||
+                a == "--all-techniques" || a == "--format" ||
+                a == "--csv" || a == "--replay")
+                run_flag = a;
             if (a == "--workload") spec = need(i);
             else if (a == "--technique") tech = need(i);
             else if (a == "--all-techniques") all_techniques = true;
+            else if (a == "--figure") figure = need(i);
             else if (a == "--keep-going") keep_going = true;
             else if (a == "--inject-fail") inject_fail = need(i);
             else if (a == "--check-digests") check_digests = true;
@@ -336,12 +339,8 @@ main(int argc, char **argv)
                 format = parseFormat(need(i));
             else if (a == "--csv") format = Format::Csv;
             else if (a == "--list") {
-                for (const auto &k : gapKernelNames())
-                    for (const char *in : {"KR", "LJN", "ORK", "TW",
-                                           "UR"})
-                        std::cout << k << "/" << in << "\n";
-                for (const auto &n : hpcDbNames())
-                    std::cout << n << "\n";
+                for (const auto &s : allBenchmarkSpecs())
+                    std::cout << s << "\n";
                 std::cout << "camel-swpf\n";
                 return 0;
             } else if (a == "--help") {
@@ -349,6 +348,28 @@ main(int argc, char **argv)
                 return 0;
             } else {
                 usage();
+            }
+        }
+
+        // A figure picks its own specs, columns and output, and runs
+        // one plan per figure.
+        std::vector<const Figure *> figs;
+        if (!figure.empty()) {
+            if (!run_flag.empty())
+                fatal("--figure cannot be combined with " + run_flag);
+            if (figure == "all") {
+                if (!opts.checkpoint.empty() || opts.resume)
+                    fatal("--figure all runs one plan per figure, but a "
+                          "--checkpoint journal holds one plan; "
+                          "checkpoint one figure at a time");
+                if (!stats_json_path.empty() || !digest_json_path.empty())
+                    fatal("--figure all runs one plan per figure, but "
+                          "--stats-json and --digest-json files hold "
+                          "one plan; write them one figure at a time");
+                for (const Figure &f : figures())
+                    figs.push_back(&f);
+            } else {
+                figs.push_back(&findFigure(figure));
             }
         }
 
@@ -373,22 +394,6 @@ main(int argc, char **argv)
             splan.ff_insts = ff_insts;
             plan.sample(splan);
         }
-        if (all_techniques) {
-            plan.add({spec},
-                     {Technique::OoO, Technique::Pre, Technique::Imp,
-                      Technique::Vr, Technique::DvrOffload,
-                      Technique::DvrDiscovery, Technique::Dvr,
-                      Technique::Oracle});
-        } else {
-            Technique t = parseTechnique(tech);
-            std::vector<TechColumn> columns;
-            // Differential checking needs the OoO baseline column;
-            // add it implicitly for single-technique runs.
-            if (check_digests && t != Technique::OoO)
-                columns.push_back(Technique::OoO);
-            columns.push_back(t);
-            plan.add({spec}, std::move(columns));
-        }
         if (!inject_fail.empty()) {
             // NAME[:KIND], e.g. "vr:diverge" or "dvr:exit:3"; the
             // split is at the FIRST colon only — the kind spec may
@@ -402,7 +407,33 @@ main(int argc, char **argv)
                 kind = injectKindParse(inject_fail.substr(colon + 1),
                                        arg);
             }
-            plan.injectFail(parseTechnique(name), kind, arg);
+            plan.injectFail(techniqueFromName(name), kind, arg);
+        }
+
+        // Each figure adds its grids to its own copy of the base plan.
+        std::vector<RunPlan> plans;
+        for (const Figure *f : figs) {
+            plans.push_back(plan);
+            f->plan(plans.back());
+        }
+        if (figs.empty()) {
+            if (all_techniques) {
+                plan.add({spec},
+                         {Technique::OoO, Technique::Pre, Technique::Imp,
+                          Technique::Vr, Technique::DvrOffload,
+                          Technique::DvrDiscovery, Technique::Dvr,
+                          Technique::Oracle});
+            } else {
+                Technique t = techniqueFromName(tech);
+                std::vector<TechColumn> columns;
+                // Differential checking needs the OoO baseline column;
+                // add it implicitly for single-technique runs.
+                if (check_digests && t != Technique::OoO)
+                    columns.push_back(Technique::OoO);
+                columns.push_back(t);
+                plan.add({spec}, std::move(columns));
+            }
+            plans.push_back(plan);
         }
 
         // The trace stream and sink outlive the sweep; the sink only
@@ -424,7 +455,10 @@ main(int argc, char **argv)
         opts.progress = all_techniques && format == Format::Table;
         opts.check_digests = check_digests;
         SweepRunner runner(opts);
-        ResultTable table = runner.run(plan);
+        std::vector<ResultTable> tables;
+        for (const RunPlan &p : plans)
+            tables.push_back(runner.run(p));
+        const ResultTable &table = tables.front();
 
         if (trace_sink) {
             trace_os.flush();
@@ -474,16 +508,30 @@ main(int argc, char **argv)
 
         // Without --keep-going, the first failure ends the program
         // with the same exit codes an unguarded run would have had.
-        if (!keep_going) {
-            for (const SimResult &r : table.results()) {
-                if (!r.ok()) {
+        size_t failures = 0, runs = 0;
+        for (const ResultTable &t : tables) {
+            for (const SimResult &r : t.results()) {
+                if (!r.ok() && !keep_going) {
                     std::cerr << r.status_message << "\n";
                     return exitCodeForStatus(r.status, r.term_signal);
                 }
             }
+            failures += t.failures();
+            runs += t.size();
         }
 
-        if (format == Format::Csv) {
+        if (!figs.empty()) {
+            for (size_t i = 0; i < figs.size(); i++) {
+                // A fresh stream per figure: renderers leave stream
+                // flags (fixed, precision, alignment) set.
+                std::ostringstream os;
+                if (i > 0)
+                    os << "\n";
+                printFigureHeader(os, *figs[i], plans[i]);
+                figs[i]->render(os, plans[i], tables[i]);
+                std::cout << os.str();
+            }
+        } else if (format == Format::Csv) {
             if (table.size() > 1)
                 table.writeCsv(std::cout);
             else
@@ -522,8 +570,8 @@ main(int argc, char **argv)
         report_timer.reset();
         inform(SelfProfiler::process().summary());
 
-        if (size_t failures = table.failures()) {
-            std::cerr << "warn: " << failures << " of " << table.size()
+        if (failures) {
+            std::cerr << "warn: " << failures << " of " << runs
                       << " technique runs failed (partial results "
                          "above)\n";
             return EXIT_FATAL;
