@@ -54,7 +54,7 @@ main()
     {
         MemoryImage img_copy = w.image;
         CpuState st = w.init;
-        run(w.prog, st, img_copy);
+        fastForward(w.prog, st, img_copy, UINT64_MAX);
         uint64_t expect = 0;
         for (uint64_t i = 0; i < n; i++)
             expect += data[idx[i]];

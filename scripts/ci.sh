@@ -28,6 +28,11 @@ set -euo pipefail
 JOBS="${1:-$(nproc)}"
 cd "$(dirname "$0")/.."
 
+# One scratch root for every stage's temporary files (each stage gets
+# a subdirectory), removed however the script exits.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
 echo "=== plain build (VRSIM_JOBS=2) ==="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ci -j "$JOBS"
@@ -72,8 +77,8 @@ echo "differential check: all techniques match the OoO baseline"
 
 # Repro-bundle replay round-trip: an injected divergence must be
 # flagged, bundled, and reproduce (exit 70) under --replay.
-REPRO_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR"' EXIT
+REPRO_DIR="$SCRATCH/repro"
+mkdir "$REPRO_DIR"
 rc=0
 VRSIM_JOBS=2 build-ci-ubsan/tools/vrsim \
     --workload camel --all-techniques --check-digests --keep-going \
@@ -98,8 +103,7 @@ echo "=== chaos stage (ASan build, process isolation) ==="
 # the parent must survive every fault class (exit 0 or 1, never a
 # signal death) and still deliver a row for every cell. No --cell-mem-mb
 # here: RLIMIT_AS is incompatible with ASan's shadow reservation.
-CHAOS_CSV="$(mktemp)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV"' EXIT
+CHAOS_CSV="$SCRATCH/chaos.csv"
 rc=0
 VRSIM_JOBS=2 build-ci-asan/tools/vrsim \
     --workload camel --all-techniques --keep-going \
@@ -126,8 +130,8 @@ echo "=== sampling stage (ASan build, digest identity + accuracy) ==="
 # same 60K-instruction stream must be byte-identical. Checked for a
 # plain OoO column and for VR, whose runahead engine must not
 # perturb the committed stream either way.
-SAMP_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR"' EXIT
+SAMP_DIR="$SCRATCH/sampling"
+mkdir "$SAMP_DIR"
 for tech in ooo vr; do
     build-ci-asan/tools/vrsim --workload camel --technique "$tech" \
         --roi 60000 --elems 4096 \
@@ -175,8 +179,8 @@ echo "=== figures stage (plain build, committed outputs) ==="
 # Every paper table, figure and ablation at the EXPERIMENTS.md scale,
 # and Fig. 7 at 4x, regenerated and compared byte for byte with the
 # committed experiments/ files (scripts/run_all.sh holds the flags).
-FIG_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$FIG_DIR"' EXIT
+FIG_DIR="$SCRATCH/figures"
+mkdir "$FIG_DIR"
 VRSIM_JOBS="$JOBS" bash scripts/run_all.sh build-ci "$FIG_DIR" >/dev/null
 for f in figures.txt fig7_performance.4x.txt; do
     if ! cmp "experiments/$f" "$FIG_DIR/$f"; then
@@ -201,8 +205,8 @@ echo "=== throughput baseline (plain build, self-profiler) ==="
 # docs/sampling.md >=50 Minsts/s floor) is measured the same way
 # (best of 3 x 50M instructions) and published as the top-level
 # "ff" entry.
-THRU_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$FIG_DIR" "$THRU_DIR"' EXIT
+THRU_DIR="$SCRATCH/throughput"
+mkdir "$THRU_DIR"
 for trial in 1 2 3 4 5; do
     for spec in camel kangaroo; do
         VRSIM_JOBS=2 build-ci/tools/vrsim \
@@ -401,9 +405,8 @@ EOF
 
 # Trace schema end-to-end under ASan: emit a real trace, convert it,
 # and require valid Chrome-tracing JSON out the other side.
-TRACE_DIR="$(mktemp -d)"
-trap 'rm -rf "$REPRO_DIR" "$CHAOS_CSV" "$SAMP_DIR" "$FIG_DIR" "$THRU_DIR" \
-    "$TRACE_DIR"' EXIT
+TRACE_DIR="$SCRATCH/trace"
+mkdir "$TRACE_DIR"
 build-ci-asan/tools/vrsim --workload camel --technique vr \
     --roi 6000 --warmup 500 --nodes 2048 --degree 8 \
     --trace "all:$TRACE_DIR/t.ndjson" --format csv >/dev/null 2>&1

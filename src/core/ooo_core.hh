@@ -214,29 +214,6 @@ class OooCore
                          Cycle &clock, bool warm);
 
     /**
-     * Copyable snapshot of the core-side warm state (branch predictor,
-     * BTB, L1I tags); the memory-side counterpart is
-     * MemoryHierarchy::warmSnapshot(). Only meaningful at a quiesced
-     * window boundary (no in-flight calendar state is captured).
-     */
-    struct WarmState
-    {
-        BranchPredictor bp;
-        Btb btb;
-        CacheArray l1i;
-    };
-
-    WarmState warmSnapshot() const { return WarmState{bp_, btb_, l1i_}; }
-
-    void
-    warmRestore(const WarmState &s)
-    {
-        bp_ = s.bp;
-        btb_ = s.btb;
-        l1i_ = s.l1i;
-    }
-
-    /**
      * Attach a differential-oracle digest (sim/digest.hh): the commit
      * path feeds it every retired instruction's architectural effects,
      * in program order, outside any speculation scope. nullptr

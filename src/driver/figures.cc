@@ -312,10 +312,10 @@ renderFig10(std::ostream &os, const RunPlan &, const ResultTable &table)
         const SimResult &vr = table.at(spec, Technique::Vr);
         const SimResult &dvr = table.at(spec, Technique::Dvr);
 
-        double vm = vr.dramMain() / denom;
-        double vr_ra = vr.dramRunahead() / denom;
-        double dm = dvr.dramMain() / denom;
-        double dvr_ra = dvr.dramRunahead() / denom;
+        double vm = vr.mem.dramMain() / denom;
+        double vr_ra = vr.mem.dramRunahead() / denom;
+        double dm = dvr.mem.dramMain() / denom;
+        double dvr_ra = dvr.mem.dramRunahead() / denom;
         vr_tot_sum += vm + vr_ra;
         dvr_tot_sum += dm + dvr_ra;
 
@@ -552,7 +552,7 @@ renderSwPrefetch(std::ostream &os, const RunPlan &, const ResultTable &table)
     outf(os, "camel        VR    speedup %.2fx\n", vr.ipc() / base.ipc());
     outf(os, "camel        DVR   speedup %.2fx\n", dvr.ipc() / base.ipc());
     outf(os,
-         "camel-swpf   DVR   %8.1f cycles/elem  -> %.2fx (SW+DVR compose)\n",
+         "camel-swpf   DVR   %8.1f cycles/elem  -> %.2fx (SW+DVR)\n",
          both_cpe, base_cpe / both_cpe);
 }
 

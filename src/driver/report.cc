@@ -26,8 +26,8 @@ buildRegistry(const SimResult &r)
         r.sample->registerIn(reg);
     // Host-side timing is wall-clock and therefore nondeterministic;
     // it only enters reports when profiling columns are opted into
-    // (--profile / VRSIM_PROFILE), keeping default output
-    // byte-identical across runs and job counts.
+    // (--profile), keeping default output byte-identical across runs
+    // and job counts.
     if (profileColumnsEnabled()) {
         reg.addGauge("host.seconds",
                      "host wall time of the core run") =
@@ -126,7 +126,8 @@ printReport(std::ostream &os, const SimResult &r,
        << double(r.mem.demand_latency_sum) / acc << " cycles\n";
     os << "MLP (MSHRs/cyc) " << r.mlp << "\n";
     os << "DRAM fills      " << r.mem.dramTotal() << " (main "
-       << r.dramMain() << ", runahead " << r.dramRunahead() << ")\n";
+       << r.mem.dramMain() << ", runahead " << r.mem.dramRunahead()
+       << ")\n";
 
     if (r.core.branches) {
         os << "\n-- branches --\n";

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "sim/hash.hh"
 #include "sim/parse.hh"
 
 namespace vrsim
@@ -385,17 +386,6 @@ pointFromJsonValue(const JsonValue &v)
     return p;
 }
 
-/** FNV-1a over a byte string. */
-uint64_t
-fnv1aStr(uint64_t h, const std::string &s)
-{
-    for (unsigned char b : s) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::string
 sanitizeForFilename(const std::string &id)
 {
@@ -587,12 +577,10 @@ readReproBundle(const std::string &path)
 uint64_t
 planFingerprint(const std::vector<RunPoint> &points)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const RunPoint &p : points) {
-        h = fnv1aStr(h, pointToJson(p));
-        h = fnv1aStr(h, "\n");
-    }
-    return h;
+    std::string text;
+    for (const RunPoint &p : points)
+        text += pointToJson(p) + "\n";
+    return fnv1a(text);
 }
 
 std::string

@@ -240,12 +240,6 @@ struct SimResult
     std::optional<SampleSummary> sample;
 
     double ipc() const { return core.ipc(); }
-
-    /** DRAM accesses from the main thread (demand + stride pf + IMP). */
-    uint64_t dramMain() const { return mem.dramMain(); }
-
-    /** DRAM accesses from runahead prefetching. */
-    uint64_t dramRunahead() const { return mem.dramRunahead(); }
 };
 
 /**

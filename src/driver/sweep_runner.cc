@@ -71,7 +71,7 @@ SweepRunner::run(const RunPlan &plan)
              "falling back to --isolation thread");
         isolation = Isolation::Thread;
     }
-    if (opts_.chaos.enabled() && isolation != Isolation::Process)
+    if (opts_.cell.chaos.enabled() && isolation != Isolation::Process)
         fatal("--chaos requires --isolation process");
     if (isolation != Isolation::Process) {
         for (const RunPoint &p : points)
@@ -174,15 +174,6 @@ SweepRunner::run(const RunPlan &plan)
         }
     }
 
-    CellOptions cell_opts;
-    cell_opts.timeout_ms = opts_.cell_timeout_ms;
-    cell_opts.mem_mb = opts_.cell_mem_mb;
-    cell_opts.cpu_s = opts_.cell_cpu_s;
-    cell_opts.retries = opts_.retries;
-    cell_opts.backoff_ms = opts_.backoff_ms;
-    cell_opts.chaos = opts_.chaos;
-    cell_opts.inject_attempts = opts_.inject_attempts;
-
     // What each cell actually executed (chaos may mutate a point);
     // repro bundles record this so --replay reproduces the fault.
     std::vector<RunPoint> as_run = points;
@@ -211,7 +202,7 @@ SweepRunner::run(const RunPlan &plan)
             setLogContext(p.id());
             SimResult r;
             if (isolation == Isolation::Process) {
-                CellSupervisor sup(cell_opts, cache);
+                CellSupervisor sup(opts_.cell, cache);
                 CellOutcome cell = sup.runCell(p);
                 r = std::move(cell.result);
                 as_run[i] = std::move(cell.as_run);

@@ -23,6 +23,9 @@
 #ifndef VRSIM_DRIVER_SWEEP_RUNNER_HH
 #define VRSIM_DRIVER_SWEEP_RUNNER_HH
 
+#include <cstdint>
+#include <limits>
+
 #include "driver/plan.hh"
 #include "obs/stats_registry.hh"
 #include "rt/chaos.hh"
@@ -50,6 +53,40 @@ enum class Isolation : uint8_t
 
 /** Parse an isolation mode; fatal() on unknown names. */
 Isolation isolationFromName(const std::string &name);
+
+/** Per-cell supervision knobs (the --cell-* / --retries flags). */
+struct CellOptions
+{
+    /** Wall-clock deadline per attempt in ms; 0 = none
+     *  (--cell-timeout, in seconds). */
+    uint64_t timeout_ms = 0;
+
+    /** RLIMIT_AS per cell in MiB; 0 = none (--cell-mem-mb).
+     *  Incompatible with ASan builds (see rt/subprocess.hh). */
+    uint64_t mem_mb = 0;
+
+    /** RLIMIT_CPU per cell in seconds; 0 = none (--cell-cpu-s). */
+    uint64_t cpu_s = 0;
+
+    /** Extra attempts after a process-grade death (--retries).
+     *  Guarded in-taxonomy failures (fatal, panic, hang, diverged)
+     *  are never retried. */
+    unsigned retries = 0;
+
+    /** First retry delay; doubles per further retry (--backoff-ms). */
+    uint64_t backoff_ms = 100;
+
+    /** Chaos fault assignment (--chaos SEED:RATE; disabled by
+     *  default). */
+    ChaosPolicy chaos;
+
+    /**
+     * Test knob: the point's own injected process-grade fault only
+     * executes on attempts < inject_attempts, modelling a transient
+     * fault that a retry survives. Default: every attempt faults.
+     */
+    unsigned inject_attempts = std::numeric_limits<unsigned>::max();
+};
 
 /** Knobs for one sweep execution. */
 struct SweepOptions
@@ -97,37 +134,12 @@ struct SweepOptions
      */
     TraceSink *trace = nullptr;
 
-    // ---- process isolation (--isolation process) ----
-
     /** Execution backend; see Isolation (--isolation). */
     Isolation isolation = Isolation::Thread;
 
-    /** Wall-clock deadline per cell attempt in ms; 0 = none
-     *  (--cell-timeout, in seconds). */
-    uint64_t cell_timeout_ms = 0;
-
-    /** RLIMIT_AS per cell in MiB; 0 = none (--cell-mem-mb). Do not
-     *  combine with ASan builds (rt/subprocess.hh). */
-    uint64_t cell_mem_mb = 0;
-
-    /** RLIMIT_CPU per cell in seconds; 0 = none (--cell-cpu-s). */
-    uint64_t cell_cpu_s = 0;
-
-    /** Extra attempts after a process-grade cell death (--retries).
-     *  Guarded in-taxonomy failures (fatal, panic, hang, diverged)
-     *  are never retried. */
-    unsigned retries = 0;
-
-    /** First retry delay in ms, doubling per retry (--backoff-ms). */
-    uint64_t backoff_ms = 100;
-
-    /** Chaos fault assignment (--chaos SEED:RATE); requires process
-     *  isolation. */
-    ChaosPolicy chaos;
-
-    /** Test knob: a point's own process-grade fault only fires on
-     *  attempts < inject_attempts (rt/cell_supervisor.hh). */
-    unsigned inject_attempts = ~0u;
+    /** How each cell is supervised under process isolation; chaos
+     *  requires it. */
+    CellOptions cell;
 };
 
 class SweepRunner

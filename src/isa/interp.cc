@@ -24,16 +24,4 @@ fastForward(const Program &prog, CpuState &state, MemoryImage &mem,
     return count;
 }
 
-uint64_t
-run(const Program &prog, CpuState &state, MemoryImage &mem,
-    uint64_t inst_limit)
-{
-    uint64_t count = 0;
-    while (!state.halted && (inst_limit == 0 || count < inst_limit)) {
-        step(prog, state, mem);
-        ++count;
-    }
-    return count;
-}
-
 } // namespace vrsim

@@ -287,15 +287,6 @@ uint64_t fastForward(const Program &prog, CpuState &state,
                      MemoryImage &mem, uint64_t max_insts,
                      StateDigest *digest = nullptr);
 
-/**
- * Run the program to completion (or inst_limit) updating architectural
- * state only; used by workload self-checks and tests.
- *
- * @return number of instructions executed.
- */
-uint64_t run(const Program &prog, CpuState &state, MemoryImage &mem,
-             uint64_t inst_limit = 0);
-
 } // namespace vrsim
 
 #endif // VRSIM_ISA_INTERP_HH

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/hash.hh"  // hashMix64, the function Op::Hash computes
 #include "sim/logging.hh"
 
 namespace vrsim
@@ -136,18 +137,6 @@ opTraits(Op op)
 
 /** Mnemonic for disassembly. */
 std::string opName(Op op);
-
-/**
- * The one-op hash used by Op::Hash: a splitmix64-style finalizer.
- * Exposed so workloads and tests can compute expected values.
- */
-inline uint64_t
-hashMix64(uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
 
 } // namespace vrsim
 

@@ -116,21 +116,6 @@ struct MemStats : StatRecord<MemStats>
 static_assert(statTableBytes<MemStats>() == sizeof(MemStats));
 
 /**
- * Copyable snapshot of the hierarchy's warmable state: the three tag
- * arrays and the stride RPT. Deliberately excludes the calendar-backed
- * resources (ports, MSHRs, DRAM) — a checkpoint is only meaningful at
- * a quiesced window boundary, where no reservation is in flight (see
- * docs/sampling.md).
- */
-struct MemWarmState
-{
-    CacheArray l1d;
-    CacheArray l2;
-    CacheArray l3;
-    StrideRpt stride_rpt;
-};
-
-/**
  * Timing model of the memory system. Data values live in the
  * functional MemoryImage; the hierarchy answers "when is this byte
  * usable" and maintains all occupancy/traffic accounting.
@@ -167,36 +152,11 @@ class MemoryHierarchy
     void warmAccess(uint64_t addr, uint64_t pc, Cycle cycle,
                     bool is_store);
 
-    /** Snapshot the warmable state (see MemWarmState). */
-    MemWarmState
-    warmSnapshot() const
-    {
-        return MemWarmState{l1d_, l2_, l3_, stride_rpt_};
-    }
-
-    /** Restore a warmSnapshot() taken from this hierarchy. */
-    void
-    warmRestore(const MemWarmState &s)
-    {
-        l1d_ = s.l1d;
-        l2_ = s.l2;
-        l3_ = s.l3;
-        stride_rpt_ = s.stride_rpt;
-    }
-
     /** Probe-only: would @p addr hit in L1D right now? */
     bool inL1(uint64_t addr) const;
 
     /** Line size in bytes. */
     uint32_t lineBytes() const { return l1d_.lineBytes(); }
-
-    /** Average L1D MSHR occupancy per cycle over [0, cycles). */
-    double
-    mlp(Cycle cycles) const
-    {
-        return cycles ? double(l1_mshrs_.busyIntegral()) / double(cycles)
-                      : 0.0;
-    }
 
     /** L1D MSHR bank (for occupancy queries by the runahead engines). */
     const MshrBank &l1Mshrs() const { return l1_mshrs_; }

@@ -1,7 +1,6 @@
 #include "obs/self_profile.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace vrsim
 {
@@ -9,26 +8,20 @@ namespace vrsim
 namespace
 {
 
-std::atomic<int> profile_columns{-1};  //!< -1 = resolve from env
+std::atomic<bool> profile_columns{false};
 
 } // namespace
 
 bool
 profileColumnsEnabled()
 {
-    int v = profile_columns.load(std::memory_order_relaxed);
-    if (v < 0) {
-        const char *env = std::getenv("VRSIM_PROFILE");
-        v = (env && *env && std::string(env) != "0") ? 1 : 0;
-        profile_columns.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
+    return profile_columns.load(std::memory_order_relaxed);
 }
 
 void
 setProfileColumns(bool enabled)
 {
-    profile_columns.store(enabled ? 1 : 0, std::memory_order_relaxed);
+    profile_columns.store(enabled, std::memory_order_relaxed);
 }
 
 SelfProfiler &

@@ -10,8 +10,8 @@
  * Host timing is inherently nondeterministic, so it never enters the
  * default result tables: per-cell host columns appear in CSV/JSON
  * only when profiling columns are explicitly enabled (`vrsim
- * --profile` or VRSIM_PROFILE=1), keeping sweep output byte-identical
- * run to run otherwise.
+ * --profile`), keeping sweep output byte-identical run to run
+ * otherwise.
  */
 
 #ifndef VRSIM_OBS_SELF_PROFILE_HH
@@ -29,8 +29,7 @@ namespace vrsim
 
 /**
  * Should host-timing columns be included in per-cell CSV/JSON output?
- * Resolved once from VRSIM_PROFILE (any nonempty value other than
- * "0") and overridable by the CLI's --profile flag.
+ * Off until setProfileColumns(true) (the CLI's --profile flag).
  */
 bool profileColumnsEnabled();
 void setProfileColumns(bool enabled);

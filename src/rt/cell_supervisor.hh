@@ -26,7 +26,6 @@
 #define VRSIM_RT_CELL_SUPERVISOR_HH
 
 #include <cstdint>
-#include <limits>
 
 #include "driver/sweep_runner.hh"
 #include "rt/chaos.hh"
@@ -34,36 +33,6 @@
 
 namespace vrsim
 {
-
-/** Per-cell supervision knobs (the --cell-* / --retries flags). */
-struct CellOptions
-{
-    /** Wall-clock deadline per attempt in ms; 0 = none. */
-    uint64_t timeout_ms = 0;
-
-    /** RLIMIT_AS per cell in MiB; 0 = none. Incompatible with ASan
-     *  builds (see rt/subprocess.hh). */
-    uint64_t mem_mb = 0;
-
-    /** RLIMIT_CPU per cell in seconds; 0 = none. */
-    uint64_t cpu_s = 0;
-
-    /** Extra attempts after a process-grade death (--retries). */
-    unsigned retries = 0;
-
-    /** First retry delay; doubles per further retry (--backoff-ms). */
-    uint64_t backoff_ms = 100;
-
-    /** Chaos fault assignment (disabled by default). */
-    ChaosPolicy chaos;
-
-    /**
-     * Test knob: the point's own injected process-grade fault only
-     * executes on attempts < inject_attempts, modelling a transient
-     * fault that a retry survives. Default: every attempt faults.
-     */
-    unsigned inject_attempts = std::numeric_limits<unsigned>::max();
-};
 
 /** What supervising one cell produced. */
 struct CellOutcome
@@ -95,8 +64,6 @@ class CellSupervisor
      * safety; see SweepRunner's process mode).
      */
     CellOutcome runCell(const RunPoint &point);
-
-    const CellOptions &options() const { return opts_; }
 
   private:
     CellOptions opts_;

@@ -2,44 +2,17 @@
 
 #include <csignal>
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 
 namespace vrsim
 {
 
-namespace
-{
-
-/** splitmix64 finalizer: the avalanche stage is enough to decorrelate
- *  the structured (seed, id-hash, attempt) inputs. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** FNV-1a so the point id contributes every byte, not just length. */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
-
 ChaosPolicy::ChaosPolicy(uint64_t seed, double rate)
     : seed_(seed), rate_(rate)
 {
-    if (rate_ < 0.0 || rate_ > 1.0)
+    if (!(rate_ >= 0.0 && rate_ <= 1.0))  // NaN fails both
         fatal("--chaos rate " + std::to_string(rate_) +
               " is outside [0, 1]");
 }
@@ -63,13 +36,15 @@ ChaosPolicy::decide(const std::string &point_id, unsigned attempt) const
 {
     if (!enabled())
         return std::nullopt;
-    uint64_t h = mix64(seed_ ^ mix64(fnv1a(point_id) + attempt));
+    // splitmix64 decorrelates the structured (seed, id, attempt)
+    // inputs; FNV-1a makes every byte of the id count.
+    uint64_t h = splitMix64(seed_ ^ splitMix64(fnv1a(point_id) + attempt));
     // Top 53 bits -> uniform double in [0, 1).
     double u = double(h >> 11) * 0x1.0p-53;
     if (u >= rate_)
         return std::nullopt;
     ChaosFault f;
-    switch (mix64(h) % 5) {
+    switch (splitMix64(h) % 5) {
       case 0:
         f.kind = InjectKind::Segv;
         break;

@@ -40,8 +40,9 @@ uint64_t parseU64(const std::string &what, const char *s);
 uint32_t parseU32(const std::string &what, const char *s);
 
 /**
- * Parse @p s as a finite double (strict: the whole string must be
- * consumed). Throws FatalError otherwise.
+ * Parse @p s as a double (strict: the whole string must be consumed).
+ * Throws FatalError otherwise. strtod syntax, so "nan" and "inf"
+ * parse: range-check the result with comparisons that NaN fails.
  */
 double parseF64(const std::string &what, const char *s);
 

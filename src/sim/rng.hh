@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "sim/hash.hh"
+
 namespace vrsim
 {
 
@@ -19,18 +21,11 @@ namespace vrsim
 class Rng
 {
   public:
-    explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull)
+    explicit Rng(uint64_t seed = SPLITMIX64_GAMMA)
     {
-        // splitmix64 to expand the seed into two nonzero words.
-        auto next = [&seed]() {
-            seed += 0x9E3779B97F4A7C15ull;
-            uint64_t z = seed;
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-            return z ^ (z >> 31);
-        };
-        s0_ = next();
-        s1_ = next();
+        // Two splitmix64 steps expand the seed into two nonzero words.
+        s0_ = splitMix64(seed);
+        s1_ = splitMix64(seed + SPLITMIX64_GAMMA);
         if (s0_ == 0 && s1_ == 0)
             s1_ = 1;
     }

@@ -39,12 +39,6 @@ loadGraph(MemoryImage &img, Layout &lay, const Graph &g)
     return gi;
 }
 
-std::string
-gapName(const char *kernel, GraphInput input)
-{
-    return std::string(kernel) + "/" + graphInputName(input);
-}
-
 /**
  * Pick @p count root vertices with non-trivial out-degree (power-law
  * graphs are full of isolated vertices; a zero-degree root would end
@@ -411,41 +405,6 @@ makeBcFromGraph(const Graph &g, const std::string &name, uint64_t seed)
     w.init.regs[R_AUX] = depth_base;
     w.init.regs[R_AUX2] = sigma_base;
     return w;
-}
-
-Workload
-makeBfs(GraphInput input, const GraphScale &scale)
-{
-    return makeBfsFromGraph(makeGraph(input, scale),
-                         gapName("bfs", input), scale.seed);
-}
-
-Workload
-makePr(GraphInput input, const GraphScale &scale)
-{
-    return makePrFromGraph(makeGraph(input, scale),
-                         gapName("pr", input), scale.seed);
-}
-
-Workload
-makeCc(GraphInput input, const GraphScale &scale)
-{
-    return makeCcFromGraph(makeGraph(input, scale),
-                         gapName("cc", input), scale.seed);
-}
-
-Workload
-makeSssp(GraphInput input, const GraphScale &scale)
-{
-    return makeSsspFromGraph(makeGraph(input, scale),
-                         gapName("sssp", input), scale.seed);
-}
-
-Workload
-makeBc(GraphInput input, const GraphScale &scale)
-{
-    return makeBcFromGraph(makeGraph(input, scale),
-                         gapName("bc", input), scale.seed);
 }
 
 } // namespace vrsim

@@ -38,6 +38,20 @@ parseInput(const std::string &s)
     fatal("unknown graph input: " + s);
 }
 
+using GapBuilder = Workload (*)(const Graph &, const std::string &,
+                                uint64_t);
+
+GapBuilder
+gapBuilder(const std::string &kernel)
+{
+    if (kernel == "bfs") return makeBfsFromGraph;
+    if (kernel == "pr") return makePrFromGraph;
+    if (kernel == "cc") return makeCcFromGraph;
+    if (kernel == "sssp") return makeSsspFromGraph;
+    if (kernel == "bc") return makeBcFromGraph;
+    fatal("unknown GAP kernel: " + kernel);
+}
+
 } // namespace
 
 Workload
@@ -48,28 +62,15 @@ makeWorkload(const std::string &spec, const GraphScale &gscale,
     if (slash != std::string::npos) {
         std::string kernel = spec.substr(0, slash);
         std::string rest = spec.substr(slash + 1);
+        // Input and kernel are checked before any graph is built.
         if (rest.rfind("file:", 0) == 0) {
             // "bfs/file:/path/to/graph.el": run on a real graph.
-            Graph g = loadGraph(rest.substr(5));
-            if (kernel == "bfs")
-                return makeBfsFromGraph(g, spec, gscale.seed);
-            if (kernel == "pr")
-                return makePrFromGraph(g, spec, gscale.seed);
-            if (kernel == "cc")
-                return makeCcFromGraph(g, spec, gscale.seed);
-            if (kernel == "sssp")
-                return makeSsspFromGraph(g, spec, gscale.seed);
-            if (kernel == "bc")
-                return makeBcFromGraph(g, spec, gscale.seed);
-            fatal("unknown GAP kernel: " + kernel);
+            GapBuilder build = gapBuilder(kernel);
+            return build(loadGraph(rest.substr(5)), spec, gscale.seed);
         }
         GraphInput input = parseInput(rest);
-        if (kernel == "bfs") return makeBfs(input, gscale);
-        if (kernel == "pr") return makePr(input, gscale);
-        if (kernel == "cc") return makeCc(input, gscale);
-        if (kernel == "sssp") return makeSssp(input, gscale);
-        if (kernel == "bc") return makeBc(input, gscale);
-        fatal("unknown GAP kernel: " + kernel);
+        GapBuilder build = gapBuilder(kernel);
+        return build(makeGraph(input, gscale), spec, gscale.seed);
     }
     if (spec == "camel") return makeCamel(hscale);
     if (spec == "camel-swpf") return makeCamelSwPf(hscale);

@@ -78,14 +78,8 @@ struct HpcDbScale
     uint64_t seed = 7;
 };
 
-// --- GAP kernels (graph analytics) ---
-Workload makeBfs(GraphInput input, const GraphScale &scale);
-Workload makePr(GraphInput input, const GraphScale &scale);
-Workload makeCc(GraphInput input, const GraphScale &scale);
-Workload makeSssp(GraphInput input, const GraphScale &scale);
-Workload makeBc(GraphInput input, const GraphScale &scale);
-
-// GAP kernels over an externally built/loaded graph (see graph_io.hh).
+// --- GAP kernels (graph analytics), over a synthetic graph
+// (makeGraph) or one loaded from a file (graph_io.hh) ---
 Workload makeBfsFromGraph(const Graph &g, const std::string &name,
                           uint64_t seed);
 Workload makePrFromGraph(const Graph &g, const std::string &name,

@@ -118,13 +118,16 @@ TEST_P(FuzzProgram, AllTechniquesRunAndPreserveArchitecture)
     cfg.invariant_checks = true;
     const uint64_t budget = 20000;
 
-    // Reference: pure functional execution of the same budget.
+    // Reference: pure functional execution of the same budget, by the
+    // plain interpreter loop (no core, hierarchy or engine).
     Workload ref = randomWorkload(seed);
     CpuState st = ref.init;
-    run(ref.prog, st, ref.image, budget);
+    fastForward(ref.prog, st, ref.image, budget);
 
-    for (Technique t : {Technique::OoO, Technique::Pre, Technique::Vr,
-                        Technique::Dvr, Technique::Oracle}) {
+    for (Technique t :
+         {Technique::OoO, Technique::Pre, Technique::Imp, Technique::Vr,
+          Technique::DvrOffload, Technique::DvrDiscovery, Technique::Dvr,
+          Technique::Oracle}) {
         Workload w = randomWorkload(seed);
         SimResult r =
             simulate({.technique = t, .cfg = cfg, .max_insts = budget}, w);

@@ -174,10 +174,10 @@ TEST(ProcessIsolationTest, ChaosInvariant)
     opts.progress = false;
     opts.isolation = Isolation::Process;
     opts.jobs = 2;
-    opts.chaos = policy;
-    opts.retries = kRetries;
-    opts.backoff_ms = 1;
-    opts.cell_timeout_ms = kCellTimeoutMs;
+    opts.cell.chaos = policy;
+    opts.cell.retries = kRetries;
+    opts.cell.backoff_ms = 1;
+    opts.cell.timeout_ms = kCellTimeoutMs;
     opts.repro_dir = repro_dir;
     WorkloadCache cache;
     opts.cache = &cache;
@@ -266,7 +266,7 @@ TEST(ProcessIsolationTest, ChaosRequiresProcessIsolation)
 {
     SweepOptions opts;
     opts.progress = false;
-    opts.chaos = ChaosPolicy(1, 0.5);
+    opts.cell.chaos = ChaosPolicy(1, 0.5);
     WorkloadCache cache;
     opts.cache = &cache;
     EXPECT_THROW(SweepRunner(opts).run(chaosPlan()), FatalError);

@@ -89,7 +89,7 @@ TEST(SimulationTest, EngineStatsAttachToRightTechnique)
 TEST(SimulationTest, DramSplitsSumToTotal)
 {
     SimResult r = simulateTiny("camel", Technique::Dvr, 20000);
-    EXPECT_EQ(r.dramMain() + r.dramRunahead(), r.mem.dramTotal());
+    EXPECT_EQ(r.mem.dramMain() + r.mem.dramRunahead(), r.mem.dramTotal());
 }
 
 TEST(SimulationTest, SpecListsCoverPaperSuite)

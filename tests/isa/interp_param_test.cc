@@ -74,7 +74,7 @@ TEST_P(AluOpProperty, MatchesReferenceAcrossOperandClasses)
         CpuState st;
         st.regs[1] = a;
         st.regs[2] = bv;
-        run(p, st, mem);
+        fastForward(p, st, mem, UINT64_MAX);
         uint64_t expect = referenceAlu(op, a, bv);
         // NaN-safe comparison: compare bit patterns.
         ASSERT_EQ(st.regs[3], expect)
@@ -119,7 +119,7 @@ TEST_P(AddressingProperty, EffectiveAddressMatchesFormula)
     CpuState st;
     st.regs[1] = base;
     st.regs[2] = index;
-    run(p, st, mem);
+    fastForward(p, st, mem, UINT64_MAX);
     EXPECT_EQ(st.regs[3], 0xFEEDull + uint64_t(scale));
 }
 
@@ -148,7 +148,7 @@ TEST_P(HashSeqProperty, HashSeqMatchesHashMix64)
         b.halt();
         Program p = b.build();
         CpuState st;
-        run(p, st, mem);
+        fastForward(p, st, mem, UINT64_MAX);
         ASSERT_EQ(st.regs[2], hashMix64(x ^ uint64_t(salt)));
         ASSERT_EQ(st.regs[2], st.regs[4]);
     }

@@ -22,7 +22,7 @@ class InterpTest : public ::testing::Test
     uint64_t
     runProg(Program p, uint64_t limit = 10000)
     {
-        return run(p, st, mem, limit);
+        return fastForward(p, st, mem, limit);
     }
 };
 

@@ -138,7 +138,7 @@ TEST_F(HierarchyTest, MlpIntegratesMshrOccupancy)
     // Two overlapping misses of ~242 cycles each.
     load(0x90000, 0);
     load(0xA0000, 0);
-    double mlp = hier.mlp(500);
+    double mlp = double(hier.l1Mshrs().busyIntegral()) / 500.0;
     EXPECT_NEAR(mlp, 2.0 * 238.0 / 500.0, 0.2);
 }
 

@@ -38,6 +38,7 @@ TEST(ChaosPolicyTest, RejectsMalformedSpecs)
     EXPECT_THROW(ChaosPolicy::parse("x:0.3"), FatalError);
     EXPECT_THROW(ChaosPolicy::parse("7:1.5"), FatalError);
     EXPECT_THROW(ChaosPolicy::parse("7:-0.1"), FatalError);
+    EXPECT_THROW(ChaosPolicy::parse("7:nan"), FatalError);
 }
 
 TEST(ChaosPolicyTest, DecisionsAreDeterministic)
@@ -51,6 +52,37 @@ TEST(ChaosPolicyTest, DecisionsAreDeterministic)
             EXPECT_EQ(a->kind, b->kind);
             EXPECT_EQ(a->arg, b->arg);
         }
+    }
+}
+
+TEST(ChaosPolicyTest, DecisionsMatchRecordedTable)
+{
+    // The draws the ci.sh chaos stage makes (--chaos 35:0.3 over
+    // camel's eight technique columns, attempts 0-2 under --retries
+    // 2), recorded from the implementation: a change to the seed,
+    // id or attempt mixing changes which cells fault, and shows here.
+    const std::vector<std::pair<Technique, std::string>> want = {
+        {Technique::OoO, "- spin:0 -"},
+        {Technique::Pre, "killself:9 - -"},
+        {Technique::Imp, "- spin:0 -"},
+        {Technique::Vr, "- - -"},
+        {Technique::DvrOffload, "- - -"},
+        {Technique::DvrDiscovery, "- - -"},
+        {Technique::Dvr, "- exit:3 -"},
+        {Technique::Oracle, "exit:3 - -"},
+    };
+    ChaosPolicy p(35, 0.3);
+    for (const auto &[t, row] : want) {
+        std::string id = "camel:" + techniqueName(t);
+        std::string got;
+        for (unsigned attempt = 0; attempt < 3; attempt++) {
+            auto f = p.decide(id, attempt);
+            got += attempt ? " " : "";
+            got += f ? std::string(injectKindName(f->kind)) + ":" +
+                           std::to_string(f->arg)
+                     : "-";
+        }
+        EXPECT_EQ(got, row) << id;
     }
 }
 

@@ -36,7 +36,7 @@ uint64_t
 runToHalt(Workload &w, uint64_t limit = 50'000'000)
 {
     CpuState st = w.init;
-    uint64_t n = run(w.prog, st, w.image, limit);
+    uint64_t n = fastForward(w.prog, st, w.image, limit);
     EXPECT_TRUE(st.halted) << w.name << " did not halt";
     return n;
 }
@@ -60,12 +60,14 @@ TEST(KernelsTest, UnknownSpecFails)
                  FatalError);
     EXPECT_THROW(makeWorkload("bfs/XX", smallGraph(), smallHpc()),
                  FatalError);
+    EXPECT_THROW(makeWorkload("dfs/KR", smallGraph(), smallHpc()),
+                 FatalError);
 }
 
 TEST(KernelsTest, BfsVisitsReachableVertices)
 {
     GraphScale s = smallGraph();
-    Workload w = makeBfs(GraphInput::Kron, s);
+    Workload w = makeWorkload("bfs/KR", s, {});
     // Copy the roots and graph out of the image before running.
     uint64_t visited_base = w.init.regs[6];
     runToHalt(w);
@@ -147,7 +149,7 @@ TEST(KernelsTest, HashJoinProbesFindTheirTuples)
     // Every probe key exists in the table, so the sum register must
     // accumulate s.elements payloads; payload = key ^ golden.
     CpuState st = w.init;
-    run(w.prog, st, w.image, 100'000'000);
+    fastForward(w.prog, st, w.image, 100'000'000);
     ASSERT_TRUE(st.halted);
     // Recompute the expected sum.
     uint64_t probes = w.init.regs[1];
@@ -162,7 +164,7 @@ TEST(KernelsTest, HashJoinProbesFindTheirTuples)
 TEST(KernelsTest, SsspRelaxesDistances)
 {
     GraphScale s = smallGraph();
-    Workload w = makeSssp(GraphInput::Ur, s);
+    Workload w = makeWorkload("sssp/UR", s, {});
     uint64_t dist = w.init.regs[6];
     runToHalt(w, 100'000'000);
     uint64_t finite = 0;
@@ -176,7 +178,7 @@ TEST(KernelsTest, SsspRelaxesDistances)
 TEST(KernelsTest, PageRankWritesRanks)
 {
     GraphScale s = smallGraph();
-    Workload w = makePr(GraphInput::Kron, s);
+    Workload w = makeWorkload("pr/KR", s, {});
     uint64_t rank_new = w.init.regs[15];
     runToHalt(w);
     uint64_t nonzero = 0;
@@ -189,7 +191,7 @@ TEST(KernelsTest, PageRankWritesRanks)
 TEST(KernelsTest, CcHooksComponents)
 {
     GraphScale s = smallGraph();
-    Workload w = makeCc(GraphInput::Ur, s);
+    Workload w = makeWorkload("cc/UR", s, {});
     uint64_t comp = w.init.regs[6];
     runToHalt(w);
     // After one hooking pass, many vertices point below themselves.

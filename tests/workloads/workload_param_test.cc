@@ -104,7 +104,7 @@ TEST_P(EveryTechnique, CamelStatsAreConsistent)
     EXPECT_GT(r.core.instructions, 10000u);
     EXPECT_GT(r.core.cycles, 0u);
     // Attribution never exceeds totals.
-    EXPECT_LE(r.dramRunahead(), r.mem.dramTotal());
+    EXPECT_LE(r.mem.dramRunahead(), r.mem.dramTotal());
     EXPECT_LE(r.mem.pf_used_l1 + r.mem.pf_used_l2 + r.mem.pf_used_l3,
               r.mem.pf_lines_filled +
                   r.mem.pf_used_inflight + 64);

@@ -85,9 +85,8 @@
  *     --stats-json FILE   dump the full stats registry per plan point
  *                         as a JSON array (docs/observability.md)
  *     --profile           add host.seconds / host.minsts_per_sec
- *                         columns to CSV/JSON output (also
- *                         VRSIM_PROFILE=1); host timing is
- *                         nondeterministic, hence opt-in
+ *                         columns to CSV/JSON output; host timing
+ *                         is nondeterministic, hence opt-in
  *     --replay BUNDLE     re-run the exact point a repro bundle
  *                         describes and exit with its status's code
  *     --checkpoint FILE   journal completed sweep points to FILE
@@ -109,6 +108,7 @@
  *   killed by a signal (process isolation).
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -134,6 +134,23 @@ constexpr int EXIT_USAGE = 2;
 constexpr int EXIT_PANIC_OR_HANG = 70;  //!< sysexits EX_SOFTWARE
 
 enum class Format { Table, Csv, Json };
+
+/**
+ * --cell-timeout seconds as CellOptions::timeout_ms. The bound keeps
+ * the child's deadline (now + timeout on the steady clock) far from
+ * overflow; a positive timeout rounds up so it never reads as 0 (no
+ * deadline).
+ */
+uint64_t
+cellTimeoutMs(const std::string &flag, const char *s)
+{
+    constexpr double MAX_SECONDS = 1e6;
+    double secs = parseF64(flag, s);
+    if (!(secs >= 0.0 && secs <= MAX_SECONDS))  // NaN fails both
+        fatal(flag + " must be a number of seconds in [0, 1000000] "
+              "(0 = no deadline), got '" + s + "'");
+    return uint64_t(std::ceil(secs * 1000.0));
+}
 
 Format
 parseFormat(const std::string &s)
@@ -297,18 +314,17 @@ main(int argc, char **argv)
             else if (a == "--isolation")
                 opts.isolation = isolationFromName(need(i));
             else if (a == "--cell-timeout")
-                opts.cell_timeout_ms =
-                    uint64_t(parseF64(a, need(i)) * 1000.0);
+                opts.cell.timeout_ms = cellTimeoutMs(a, need(i));
             else if (a == "--cell-mem-mb")
-                opts.cell_mem_mb = parseU64(a, need(i));
+                opts.cell.mem_mb = parseU64(a, need(i));
             else if (a == "--cell-cpu-s")
-                opts.cell_cpu_s = parseU64(a, need(i));
+                opts.cell.cpu_s = parseU64(a, need(i));
             else if (a == "--retries")
-                opts.retries = unsigned(parseU64(a, need(i)));
+                opts.cell.retries = unsigned(parseU64(a, need(i)));
             else if (a == "--backoff-ms")
-                opts.backoff_ms = parseU64(a, need(i));
+                opts.cell.backoff_ms = parseU64(a, need(i));
             else if (a == "--chaos")
-                opts.chaos = ChaosPolicy::parse(need(i));
+                opts.cell.chaos = ChaosPolicy::parse(need(i));
             else if (a == "--trace") trace_spec = need(i);
             else if (a == "--stats-json") stats_json_path = need(i);
             else if (a == "--profile") setProfileColumns(true);
