@@ -5,7 +5,8 @@
 # builds the repository benchmark against the simulator's current API
 # and self-tests it), under AddressSanitizer + UBSan, and under
 # ThreadSanitizer for the concurrency-bearing subset (sweep runner,
-# workload cache) (VRSIM_SANITIZE, see CMakeLists.txt) — then runs a
+# workload cache, shared post-prefix starts, copy-on-write image
+# pages) (VRSIM_SANITIZE, see CMakeLists.txt) — then runs a
 # differential-check stage under standalone UBSan: a small real grid
 # with --check-digests (every technique's committed stream must hash
 # identically to the OoO baseline's) plus a repro-bundle replay
@@ -50,13 +51,18 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-ci-asan -j "$JOBS"
 ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS"
 
-echo "=== sanitized build (TSan: sweep runner + workload cache) ==="
+echo "=== sanitized build (TSan: sweep runner, workload cache, shared starts, image pages) ==="
+# The copy-on-write image pages and a sweep's shared post-prefix
+# starts are copied by several threads at once: MemoryImage and
+# SweepStarts tests check that under the race detector.
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVRSIM_SANITIZE=tsan
 cmake --build build-ci-tsan -j "$JOBS" \
-    --target driver_sweep_runner_test workloads_cache_test
+    --target driver_sweep_runner_test workloads_cache_test \
+    mem_memory_image_test
 VRSIM_JOBS=4 ctest --test-dir build-ci-tsan --output-on-failure \
-    -j "$JOBS" -R 'SweepRunner|RunPlan|ResultTable|WorkloadCache'
+    -j "$JOBS" \
+    -R 'SweepRunner|RunPlan|ResultTable|WorkloadCache|MemoryImage|SweepStarts'
 
 echo "=== differential check (UBSan build, small grid) ==="
 cmake -B build-ci-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -2,8 +2,11 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <iomanip>
+#include <map>
 #include <memory>
+#include <thread>
 
 #include "obs/self_profile.hh"
 #include "obs/stats_registry.hh"
@@ -312,10 +315,56 @@ start(const RunPoint &p, TraceSink *trace)
     }
 }
 
-/** simulate() after start() and without the guard: throws the error
- *  taxonomy. */
+/** The digest interval a run of @p p hashes with, or nullopt when it
+ *  collects no digest. A Diverge injection turns collection on. */
+std::optional<uint64_t>
+digestInterval(const RunPoint &p)
+{
+    if (p.cfg.collect_digest || p.inject_kind == InjectKind::Diverge)
+        return p.cfg.digest_interval;
+    return std::nullopt;
+}
+
+/** Everything a pure fast-forward of @p p's prefix depends on. */
+std::string
+startKey(const RunPoint &p)
+{
+    const std::optional<uint64_t> interval = digestInterval(p);
+    return WorkloadCache::key(p.spec, p.gscale, p.hscale) +
+           "|ff=" + std::to_string(p.sampling.ff_insts) + "|dg=" +
+           (interval ? std::to_string(*interval) : "off");
+}
+
+/** Run the head Ff segment of @p p's schedule, its --ff-insts prefix,
+ *  on a copy of @p w: the one place a prefix runs. A workload that
+ *  halts inside it leaves a start with fewer ff_insts, which the run
+ *  reports. */
+RunStart
+prefixStart(const RunPoint &p, const Workload &w)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    RunStart s;
+    s.image = w.image;
+    s.state = w.init;
+    if (const std::optional<uint64_t> interval = digestInterval(p))
+        s.digest.emplace(*interval);
+    s.ff_insts = fastForward(w.prog, s.state, s.image, p.sampling.ff_insts,
+                             s.digest ? &*s.digest : nullptr);
+    s.host_seconds = secondsSince(t0);
+    return s;
+}
+
+/**
+ * simulate() after start() and without the guard: throws the error
+ * taxonomy. The run's memory lives in @p image, and @p take yields
+ * its RunStart once the point's own checks (sampling plan, config)
+ * have passed, so their errors come before the prefix's. The head Ff
+ * segment is the start's; this runs the rest of the schedule.
+ */
+template <class Take>
 SimResult
-execute(const RunPoint &p, Workload &w, TraceSink *trace)
+execute(const RunPoint &p, const Workload &w, MemoryImage &image,
+        Take &&take, TraceSink *trace)
 {
     const bool diverge = p.inject_kind == InjectKind::Diverge;
     const Technique technique = p.technique;
@@ -326,24 +375,24 @@ execute(const RunPoint &p, Workload &w, TraceSink *trace)
     const SegmentSchedule schedule(
         p.max_insts ? p.max_insts : w.suggested_insts, p.warmup,
         p.sampling);
-    MemoryHierarchy hier(cfg, w.image);
+    MemoryHierarchy hier(cfg, image);
     if (technique == Technique::Imp)
         hier.enableImp();
 
     std::unique_ptr<RunaheadEngine> engine;
     switch (technique) {
       case Technique::Pre:
-        engine = std::make_unique<PreEngine>(cfg, w.prog, w.image, hier);
+        engine = std::make_unique<PreEngine>(cfg, w.prog, image, hier);
         break;
       case Technique::Vr:
-        engine = std::make_unique<VectorRunahead>(cfg, w.prog, w.image,
+        engine = std::make_unique<VectorRunahead>(cfg, w.prog, image,
                                                   hier);
         break;
       case Technique::DvrOffload:
       case Technique::DvrDiscovery:
       case Technique::Dvr:
         engine = std::make_unique<DecoupledVectorRunahead>(
-            cfg, w.prog, w.image, hier,
+            cfg, w.prog, image, hier,
             p.features.value_or(technique == Technique::DvrOffload
                                     ? DvrFeatures::offloadOnly()
                                 : technique == Technique::DvrDiscovery
@@ -354,20 +403,12 @@ execute(const RunPoint &p, Workload &w, TraceSink *trace)
         break;
     }
 
-    OooCore core(cfg, w.prog, w.image, hier, engine.get());
+    OooCore core(cfg, w.prog, image, hier, engine.get());
     if (trace) {
         hier.setTraceSink(trace);
         core.setTraceSink(trace);
         if (engine)
             engine->setTraceSink(trace);
-    }
-    // Differential oracle: hash the committed stream (incl. warmup,
-    // which is a timing distinction only — the committed instructions
-    // are identical across techniques by construction).
-    std::unique_ptr<StateDigest> digest;
-    if (cfg.collect_digest) {
-        digest = std::make_unique<StateDigest>(cfg.digest_interval);
-        core.setDigest(digest.get());
     }
 
     SimResult res;
@@ -375,26 +416,41 @@ execute(const RunPoint &p, Workload &w, TraceSink *trace)
     res.technique = technique;
     SampleSummary ss;
     uint64_t busy = 0;  // L1D MSHR-busy cycles of the measured spans
+    std::unique_ptr<StateDigest> digest;
     {
         SelfProfiler::PhaseTimer pt =
             SelfProfiler::process().phase("simulate");
+        RunStart start = take();
+        if (start.ff_insts < p.sampling.ff_insts)
+            fatal("workload halted after " +
+                  std::to_string(start.ff_insts) +
+                  " instructions, inside the --ff-insts " +
+                  std::to_string(p.sampling.ff_insts) +
+                  " prefix — nothing left to measure");
         auto t0 = std::chrono::steady_clock::now();
-        CpuState state = w.init;
+        image = std::move(start.image);
+        CpuState state = start.state;
+        ss.ff_insts = start.ff_insts;
+        res.host_ff_seconds = start.host_seconds;
+        // Differential oracle: hash the committed stream (incl. the
+        // prefix and the warmup, which are timing distinctions only —
+        // the committed instructions are identical across techniques
+        // by construction), continuing from the prefix's hash state.
+        if (start.digest) {
+            digest = std::make_unique<StateDigest>(
+                std::move(*start.digest));
+            core.setDigest(digest.get());
+        }
         Cycle clock = 0;
         for (uint64_t k = 0; k < schedule.size() && !state.halted; k++) {
             const Segment &seg = schedule[k];
+            if (seg.kind == Segment::Kind::Ff)
+                continue;  // the start ran it
             auto s0 = std::chrono::steady_clock::now();
-            if (seg.kind != Segment::Kind::Detailed) {
-                const uint64_t done = core.fastForward(
-                    state, seg.insts, clock,
-                    seg.kind == Segment::Kind::FfWarm);
+            if (seg.kind == Segment::Kind::FfWarm) {
+                ss.ff_insts += core.fastForward(state, seg.insts, clock,
+                                                /*warm=*/true);
                 res.host_ff_seconds += secondsSince(s0);
-                ss.ff_insts += done;
-                if (seg.kind == Segment::Kind::Ff && done < seg.insts)
-                    fatal("workload halted after " + std::to_string(done) +
-                          " instructions, inside the --ff-insts " +
-                          std::to_string(seg.insts) +
-                          " prefix — nothing left to measure");
                 continue;
             }
             // Measure from the end of the warm prefix; a plain run that
@@ -430,7 +486,7 @@ execute(const RunPoint &p, Workload &w, TraceSink *trace)
                 ss.intervals++;
             }
         }
-        res.host_seconds = secondsSince(t0);
+        res.host_seconds = secondsSince(t0) + start.host_seconds;
     }
     SelfProfiler::process().addSimulated(res.core.instructions,
                                          res.core.cycles);
@@ -459,6 +515,22 @@ execute(const RunPoint &p, Workload &w, TraceSink *trace)
     return res;
 }
 
+/** simulate() on @p p's artifact from @p cache, starting from the
+ *  RunStart @p take yields for that workload. */
+template <class Take>
+SimResult
+simulateArtifact(const RunPoint &p, WorkloadCache &cache, Take &&take,
+                 TraceSink *trace)
+{
+    return guarded(p.spec, p.technique, [&] {
+        start(p, trace);
+        std::shared_ptr<const Workload> w =
+            cache.artifact(p.spec, p.gscale, p.hscale);
+        MemoryImage image;
+        return execute(p, *w, image, [&] { return take(*w); }, trace);
+    });
+}
+
 } // namespace
 
 SimResult
@@ -466,20 +538,90 @@ simulate(const RunPoint &p, Workload &w, TraceSink *trace)
 {
     return guarded(w.name, p.technique, [&] {
         start(p, trace);
-        return execute(p, w, trace);
+        return execute(p, w, w.image,
+                       [&] { return prefixStart(p, w); }, trace);
     });
 }
 
 SimResult
 simulate(const RunPoint &p, WorkloadCache &cache, TraceSink *trace)
 {
-    return guarded(p.spec, p.technique, [&] {
-        start(p, trace);
-        // A private copy of the cached artifact, so this run's stores
-        // cannot leak into sibling points.
-        Workload w = cache.instantiate(p.spec, p.gscale, p.hscale);
-        return execute(p, w, trace);
-    });
+    return simulateArtifact(
+        p, cache, [&](const Workload &w) { return prefixStart(p, w); },
+        trace);
+}
+
+SimResult
+simulate(const RunPoint &p, WorkloadCache &cache, RunStart from,
+         TraceSink *trace)
+{
+    return simulateArtifact(
+        p, cache, [&](const Workload &) { return std::move(from); },
+        trace);
+}
+
+SweepStarts::SweepStarts(const std::vector<RunPoint> &points,
+                         const std::vector<char> &skip,
+                         WorkloadCache &cache, unsigned jobs)
+    : slot_of_(points.size(), SIZE_MAX)
+{
+    std::map<std::string, size_t> by_key;
+    for (size_t i = 0; i < points.size(); i++) {
+        if (skip[i])
+            continue;
+        auto [it, fresh] = by_key.emplace(startKey(points[i]),
+                                          slots_.size());
+        if (fresh) {
+            slots_.push_back(std::make_unique<Slot>());
+            slots_.back()->first = i;
+        }
+        slot_of_[i] = it->second;
+        slots_[it->second]->users++;
+    }
+
+    std::atomic<size_t> next{0};
+    std::atomic<uint64_t> built{0};
+    auto build = [&] {
+        for (size_t k = next.fetch_add(1); k < slots_.size();
+             k = next.fetch_add(1)) {
+            Slot &s = *slots_[k];
+            const RunPoint &p = points[s.first];
+            try {
+                SelfProfiler::PhaseTimer pt =
+                    SelfProfiler::process().phase("simulate");
+                s.start = prefixStart(
+                    p, *cache.artifact(p.spec, p.gscale, p.hscale));
+                built.fetch_add(1);
+            } catch (const std::exception &) {
+                // Left absent: each point re-encounters the failure.
+            }
+        }
+    };
+    const size_t threads = std::min<size_t>(jobs, slots_.size());
+    if (threads <= 1) {
+        build();
+    } else {
+        std::vector<std::thread> pool;
+        for (size_t t = 0; t < threads; t++)
+            pool.emplace_back(build);
+        for (auto &th : pool)
+            th.join();
+    }
+    builds_ = built.load();
+}
+
+std::optional<RunStart>
+SweepStarts::take(size_t i)
+{
+    Slot &s = *slots_.at(slot_of_.at(i));
+    std::optional<RunStart> copy = s.start;
+    if (copy && i != s.first)
+        copy->host_seconds = 0.0;  // charged to the first point
+    // Copy, then count: the last user's release orders every other
+    // user's copy before the drop.
+    if (s.users.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        s.start.reset();
+    return copy;
 }
 
 std::vector<std::string>

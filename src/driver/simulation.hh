@@ -9,6 +9,8 @@
 #ifndef VRSIM_DRIVER_SIMULATION_HH
 #define VRSIM_DRIVER_SIMULATION_HH
 
+#include <atomic>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -316,12 +318,30 @@ struct RunPoint
 };
 
 /**
- * Run @p p on the pre-built workload @p w (custom kernels; stores
- * mutate w's image). The point supplies the technique, the DVR
- * feature override (ablations; ignored for non-DVR techniques), the
- * config, the instruction budget, the warmup excluded from the
- * statistics and the sampling plan; @p w stands in for its spec and
- * scales.
+ * Where a run begins: its workload after the head Ff segment of its
+ * schedule, the --ff-insts prefix (docs/sampling.md). The prefix is
+ * pure functional execution, so this state depends on the workload,
+ * the prefix length and the digest settings only, never on the
+ * technique: one sweep builds it once per key (SweepStarts) and every
+ * point that shares it starts from a copy.
+ */
+struct RunStart
+{
+    MemoryImage image;                  //!< memory after the prefix
+    CpuState state;                     //!< registers after the prefix
+    std::optional<StateDigest> digest;  //!< the prefix's hash state,
+                                        //!< when the run collects one
+    uint64_t ff_insts = 0;              //!< prefix instructions run
+    double host_seconds = 0.0;          //!< host time the prefix took
+};
+
+/**
+ * Run @p p on the pre-built workload @p w (custom kernels; a
+ * completed run leaves its stores in w's image). The point supplies
+ * the technique, the DVR feature override (ablations; ignored for
+ * non-DVR techniques), the config, the instruction budget, the warmup
+ * excluded from the statistics and the sampling plan; @p w stands in
+ * for its spec and scales.
  *
  * A sampling plan turns the run into a fast-forwarded and/or
  * interval-sampled one (docs/sampling.md): max_insts then bounds the
@@ -346,11 +366,12 @@ SimResult simulate(const RunPoint &p, Workload &w,
                    TraceSink *trace = nullptr);
 
 /**
- * Run @p p on a private instance of its spec at its scales, taken
- * from @p cache so each spec is built once per cache and stores
- * cannot leak between runs. The trace meta event and the injected
- * fault come before the build; a failed build or run becomes a failed
- * row labelled p.spec.
+ * Run @p p from a private start: its own --ff-insts prefix over a
+ * copy of its spec's artifact at its scales, taken from @p cache so
+ * each spec is built once per cache. The copy shares the artifact's
+ * pages until it writes them, so stores cannot leak between runs.
+ * The trace meta event and the injected fault come before the build;
+ * a failed build or run becomes a failed row labelled p.spec.
  *
  * The default cache is WorkloadCache::process(): it keeps every
  * artifact it builds until the process exits, and a "bfs/file:PATH"
@@ -361,6 +382,61 @@ SimResult simulate(const RunPoint &p, Workload &w,
 SimResult simulate(const RunPoint &p,
                    WorkloadCache &cache = WorkloadCache::process(),
                    TraceSink *trace = nullptr);
+
+/**
+ * The post-prefix starts of one sweep (docs/performance.md): one
+ * RunStart per distinct key among its points (spec, scales, ff_insts
+ * and the digest settings the run will use), so a prefix runs once
+ * per sweep instead of once per column. The constructor builds them
+ * all, on up to @p jobs threads joined before it returns, so a
+ * process-isolation sweep may fork right after. Each point then
+ * takes its copy once; the copy shares the start's pages. The first
+ * point in plan order is charged the prefix's host time, and the last
+ * to take its copy drops the start, so the starts never outlive the
+ * sweep and the WorkloadCache keeps only pristine artifacts.
+ *
+ * A start whose build failed (a failed workload build, an internal
+ * error) is absent: its points run their own prefix and so report
+ * the failure themselves, in their own order and log context.
+ */
+class SweepStarts
+{
+  public:
+    /** Build the start of every point @p skip does not mark (points
+     *  restored by --resume need none). */
+    SweepStarts(const std::vector<RunPoint> &points,
+                const std::vector<char> &skip, WorkloadCache &cache,
+                unsigned jobs);
+
+    /** Point @p i's copy of its start, or nullopt when the start's
+     *  build failed. Take each point's copy exactly once. */
+    std::optional<RunStart> take(size_t i);
+
+    /** How many starts were built. */
+    uint64_t builds() const { return builds_; }
+
+  private:
+    struct Slot
+    {
+        size_t first = 0;          //!< first user in plan order
+        std::atomic<size_t> users{0};
+        std::optional<RunStart> start;
+    };
+
+    std::vector<std::unique_ptr<Slot>> slots_;
+    std::vector<size_t> slot_of_;  //!< point index -> slots_ index
+    uint64_t builds_ = 0;
+};
+
+/**
+ * simulate(p, cache, trace), started from @p start, a copy of a
+ * sweep's shared start, instead of a private prefix. A prefix that
+ * halted fails the run where running it would have: after the point's
+ * own injected fault, workload build, sampling-plan and configuration
+ * checks.
+ */
+SimResult simulate(const RunPoint &p, WorkloadCache &cache,
+                   RunStart start, TraceSink *trace = nullptr);
 
 /** All benchmark-input specs of the paper's Fig. 7 (GAP x 5 inputs +
  *  hpc-db). */

@@ -150,29 +150,15 @@ SweepRunner::run(const RunPlan &plan)
         jobs = 1;
     }
 
-    // Fork safety for process mode: build every workload artifact in
-    // the parent before the pool starts, so the cache's mutex and
-    // builder futures are quiescent at every fork (children only ever
-    // hit warm cache entries). A build failure is deliberately left
-    // for the child to re-encounter and report as its own Fatal row,
-    // matching thread-mode attribution.
-    if (isolation == Isolation::Process) {
-        std::map<std::string, char> built;
-        for (size_t i = 0; i < points.size(); i++) {
-            if (have[i])
-                continue;
-            const RunPoint &p = points[i];
-            if (!built.emplace(WorkloadCache::key(p.spec, p.gscale,
-                                                  p.hscale), 1)
-                     .second)
-                continue;
-            try {
-                cache.artifact(p.spec, p.gscale, p.hscale);
-            } catch (const FatalError &) {
-                // The child's own build attempt produces the row.
-            }
-        }
-    }
+    // Each point's --ff-insts prefix runs once per key, here, before
+    // the pool starts. That also keeps process mode fork-safe: every
+    // artifact is built in the parent by threads joined before any
+    // fork, so the cache's mutex and its futures are quiescent at
+    // every fork (children only ever hit warm cache entries). A
+    // failed build is re-encountered by each of its points, which
+    // report it as their own row.
+    SweepStarts starts(points, have, cache, jobs);
+    start_builds_ = starts.builds();
 
     // What each cell actually executed (chaos may mutate a point);
     // repro bundles record this so --replay reproduces the fault.
@@ -201,9 +187,11 @@ SweepRunner::run(const RunPlan &plan)
             // so interleaved diagnostics stay attributable.
             setLogContext(p.id());
             SimResult r;
+            std::optional<RunStart> from = starts.take(i);
             if (isolation == Isolation::Process) {
+                // The child inherits the start across the fork.
                 CellSupervisor sup(opts_.cell, cache);
-                CellOutcome cell = sup.runCell(p);
+                CellOutcome cell = sup.runCell(p, from ? &*from : nullptr);
                 r = std::move(cell.result);
                 as_run[i] = std::move(cell.as_run);
                 if (cell.retried())
@@ -213,6 +201,8 @@ SweepRunner::run(const RunPlan &plan)
                     cells_crashed.fetch_add(1);
                 else if (r.status == SimStatus::TimedOut)
                     cells_timed_out.fetch_add(1);
+            } else if (from) {
+                r = simulate(p, cache, std::move(*from), opts_.trace);
             } else {
                 r = simulate(p, cache, opts_.trace);
             }

@@ -3,8 +3,9 @@
  * Parallel, fault-isolated executor for RunPlans: a worker pool runs
  * guarded grid points concurrently (VRSIM_JOBS / --jobs, default 1),
  * shares one workload cache so each spec is built exactly once per
- * process, streams per-point progress to stderr, and returns results
- * in plan order — byte-identical output regardless of job count.
+ * process, runs each --ff-insts prefix once per sweep (SweepStarts),
+ * streams per-point progress to stderr, and returns results in plan
+ * order — byte-identical output regardless of job count.
  *
  * Three robustness layers ride on top (see docs/robustness.md):
  *  - differential checking (check_digests): every technique column's
@@ -57,24 +58,48 @@ Isolation isolationFromName(const std::string &name);
 /** Per-cell supervision knobs (the --cell-* / --retries flags). */
 struct CellOptions
 {
+    /** Largest --cell-mem-mb (16 TiB): mem_mb << 20 must not wrap. */
+    static constexpr uint64_t MAX_MEM_MB = 1ull << 24;
+
+    /** Largest --retries. */
+    static constexpr unsigned MAX_RETRIES = 100;
+
+    /** Cap on one retry's delay (one hour): the doubling saturates. */
+    static constexpr uint64_t MAX_BACKOFF_MS = 3'600'000;
+
     /** Wall-clock deadline per attempt in ms; 0 = none
      *  (--cell-timeout, in seconds). */
     uint64_t timeout_ms = 0;
 
-    /** RLIMIT_AS per cell in MiB; 0 = none (--cell-mem-mb).
-     *  Incompatible with ASan builds (see rt/subprocess.hh). */
+    /** RLIMIT_AS per cell in MiB, at most MAX_MEM_MB; 0 = none
+     *  (--cell-mem-mb). Incompatible with ASan builds (see
+     *  rt/subprocess.hh). */
     uint64_t mem_mb = 0;
 
     /** RLIMIT_CPU per cell in seconds; 0 = none (--cell-cpu-s). */
     uint64_t cpu_s = 0;
 
-    /** Extra attempts after a process-grade death (--retries).
+    /** Extra attempts after a process-grade death (--retries, at
+     *  most MAX_RETRIES).
      *  Guarded in-taxonomy failures (fatal, panic, hang, diverged)
      *  are never retried. */
     unsigned retries = 0;
 
-    /** First retry delay; doubles per further retry (--backoff-ms). */
+    /** First retry delay; doubles per further retry (--backoff-ms),
+     *  saturating at MAX_BACKOFF_MS. */
     uint64_t backoff_ms = 100;
+
+    /** The delay before retry number @p attempt + 1 (attempt 0 is
+     *  the first retry). */
+    uint64_t
+    backoffMs(unsigned attempt) const
+    {
+        if (backoff_ms == 0)
+            return 0;
+        if (attempt >= 64 || backoff_ms > (MAX_BACKOFF_MS >> attempt))
+            return MAX_BACKOFF_MS;
+        return backoff_ms << attempt;
+    }
 
     /** Chaos fault assignment (--chaos SEED:RATE; disabled by
      *  default). */
@@ -172,9 +197,14 @@ class SweepRunner
      */
     const StatsRegistry &stats() const { return stats_; }
 
+    /** Post-prefix starts the last run() built (SweepStarts): one per
+     *  distinct prefix key among the points it ran. */
+    uint64_t startBuilds() const { return start_builds_; }
+
   private:
     SweepOptions opts_;
     StatsRegistry stats_;
+    uint64_t start_builds_ = 0;
 };
 
 } // namespace vrsim

@@ -8,13 +8,12 @@
 #ifndef VRSIM_ISA_MEMORY_IMAGE_HH
 #define VRSIM_ISA_MEMORY_IMAGE_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
-#include <vector>
-
-#include "sim/logging.hh"
+#include <utility>
 
 namespace vrsim
 {
@@ -23,12 +22,20 @@ namespace vrsim
  * Sparse memory. Unbacked addresses read as zero, which also makes
  * speculative (runahead) wild loads safe by construction.
  *
+ * Pages are copy-on-write: copying an image shares its pages, and the
+ * first store to a shared page clones that page, so a copy costs one
+ * reference per page however large the image is. Reads never clone.
+ * Reference counts are atomic, so many threads may copy one image at
+ * once as long as none of them writes it: WorkloadCache artifacts and
+ * a sweep's post-prefix starts are never written after they are
+ * built, and every run works on its own copy.
+ *
  * Accesses are strongly page-local (the interpreter walks arrays),
  * so the last page touched is memoized to skip the hash lookup on
  * the hot path. The memo makes even const reads mutating under the
- * hood: a MemoryImage must not be shared between threads. Parallel
- * sweeps already honour that — WorkloadCache hands every run its own
- * private copy of the image, and copies start with a cold memo.
+ * hood: one image must not be read or written by two threads at
+ * once. Copies start with a cold memo, and a clone refreshes it, so
+ * a read after the clone sees the new bytes.
  */
 class MemoryImage
 {
@@ -39,14 +46,16 @@ class MemoryImage
 
     MemoryImage() = default;
     MemoryImage(const MemoryImage &o) : pages_(o.pages_) {}
-    MemoryImage(MemoryImage &&o) noexcept : pages_(std::move(o.pages_)) {}
+    MemoryImage(MemoryImage &&o) noexcept : pages_(std::move(o.pages_))
+    {
+        o.forgetMemo();
+    }
 
     MemoryImage &
     operator=(const MemoryImage &o)
     {
         pages_ = o.pages_;
-        cached_page_no_ = NO_PAGE;
-        cached_page_ = nullptr;
+        forgetMemo();
         return *this;
     }
 
@@ -54,8 +63,8 @@ class MemoryImage
     operator=(MemoryImage &&o) noexcept
     {
         pages_ = std::move(o.pages_);
-        cached_page_no_ = NO_PAGE;
-        cached_page_ = nullptr;
+        forgetMemo();
+        o.forgetMemo();
         return *this;
     }
 
@@ -98,40 +107,103 @@ class MemoryImage
     /** Number of resident pages (for footprint reporting). */
     size_t residentPages() const { return pages_.size(); }
 
-    /** Total resident bytes. */
+    /** Total resident bytes, shared pages included. */
     uint64_t footprintBytes() const { return pages_.size() * PAGE_SIZE; }
 
   private:
-    using Page = std::vector<uint8_t>;
+    /** One page's bytes and the number of images that hold it. The
+     *  bytes keep malloc's 16-byte alignment, so 8-byte words never
+     *  straddle a cache line; asking for more would make every page
+     *  an aligned allocation, which fragments the heap. */
+    struct Page
+    {
+        std::atomic<uint32_t> refs{1};
+        alignas(16) uint8_t bytes[PAGE_SIZE];
+    };
+
+    /** An owning, counted reference to a Page. */
+    class PageRef
+    {
+      public:
+        PageRef() = default;
+        explicit PageRef(Page *p) : p_(p) {}
+        PageRef(const PageRef &o) : p_(o.p_)
+        {
+            if (p_)
+                p_->refs.fetch_add(1, std::memory_order_relaxed);
+        }
+        PageRef(PageRef &&o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+        PageRef &
+        operator=(PageRef o) noexcept
+        {
+            std::swap(p_, o.p_);
+            return *this;
+        }
+        ~PageRef()
+        {
+            if (p_ && p_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                delete p_;
+        }
+
+        Page *get() const { return p_; }
+
+      private:
+        Page *p_ = nullptr;
+    };
 
     static constexpr uint64_t NO_PAGE = ~0ull;
+
+    /** Does no other image hold @p p? The acquire pairs with the
+     *  release in a sibling's ~PageRef, so its last reads of the page
+     *  happen before this image writes it. */
+    static bool
+    exclusive(const Page *p)
+    {
+        return p->refs.load(std::memory_order_acquire) == 1;
+    }
+
+    void
+    forgetMemo()
+    {
+        memo_no_ = NO_PAGE;
+        memo_ = nullptr;
+    }
 
     const Page *
     findPage(uint64_t page_no) const
     {
-        if (page_no == cached_page_no_)
-            return cached_page_;
+        if (page_no == memo_no_)
+            return memo_;
         auto it = pages_.find(page_no);
         if (it == pages_.end())
             return nullptr;
-        // unordered_map references are stable across rehash, so the
-        // memo survives later insertions.
-        cached_page_no_ = page_no;
-        cached_page_ = const_cast<Page *>(&it->second);
-        return cached_page_;
+        // unordered_map references are stable across rehash, and
+        // only a clone replaces an entry's page (refreshing the memo),
+        // so the memo survives later insertions.
+        memo_no_ = page_no;
+        memo_ = it->second.get();
+        return memo_;
     }
 
-    Page &
-    getPage(uint64_t page_no)
+    /** The bytes of @p page_no, private to this image: a missing page
+     *  is created zeroed and a shared one is cloned first. */
+    uint8_t *
+    writablePage(uint64_t page_no)
     {
-        if (page_no == cached_page_no_)
-            return *cached_page_;
-        auto it = pages_.find(page_no);
-        if (it == pages_.end())
-            it = pages_.emplace(page_no, Page(PAGE_SIZE, 0)).first;
-        cached_page_no_ = page_no;
-        cached_page_ = &it->second;
-        return it->second;
+        if (page_no == memo_no_ && exclusive(memo_))
+            return memo_->bytes;
+        PageRef &ref = pages_[page_no];
+        if (!ref.get()) {
+            ref = PageRef(new Page);
+            std::memset(ref.get()->bytes, 0, PAGE_SIZE);
+        } else if (!exclusive(ref.get())) {
+            PageRef copy(new Page);
+            std::memcpy(copy.get()->bytes, ref.get()->bytes, PAGE_SIZE);
+            ref = std::move(copy);
+        }
+        memo_no_ = page_no;
+        memo_ = ref.get();
+        return memo_->bytes;
     }
 
     void
@@ -143,7 +215,7 @@ class MemoryImage
             uint64_t off = addr & PAGE_MASK;
             size_t chunk = std::min<uint64_t>(n, PAGE_SIZE - off);
             if (const Page *p = findPage(page_no))
-                std::memcpy(dst, p->data() + off, chunk);
+                std::memcpy(dst, p->bytes + off, chunk);
             else
                 std::memset(dst, 0, chunk);
             dst += chunk;
@@ -160,16 +232,16 @@ class MemoryImage
             uint64_t page_no = addr >> PAGE_BITS;
             uint64_t off = addr & PAGE_MASK;
             size_t chunk = std::min<uint64_t>(n, PAGE_SIZE - off);
-            std::memcpy(getPage(page_no).data() + off, src, chunk);
+            std::memcpy(writablePage(page_no) + off, src, chunk);
             src += chunk;
             addr += chunk;
             n -= chunk;
         }
     }
 
-    std::unordered_map<uint64_t, Page> pages_;
-    mutable uint64_t cached_page_no_ = NO_PAGE;
-    mutable Page *cached_page_ = nullptr;
+    std::unordered_map<uint64_t, PageRef> pages_;
+    mutable uint64_t memo_no_ = NO_PAGE;
+    mutable Page *memo_ = nullptr;
 };
 
 } // namespace vrsim

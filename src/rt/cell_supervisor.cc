@@ -106,7 +106,7 @@ relayChildStderr(const std::string &point_id, const ChildOutcome &out)
 } // namespace
 
 CellOutcome
-CellSupervisor::runCell(const RunPoint &point)
+CellSupervisor::runCell(const RunPoint &point, const RunStart *start)
 {
     ResourceCaps caps;
     caps.mem_bytes = opts_.mem_mb << 20;
@@ -141,12 +141,13 @@ CellSupervisor::runCell(const RunPoint &point)
 
         WorkloadCache &cache = cache_;
         ChildOutcome out = Subprocess::run(
-            [&as_run, &cache](int result_fd) {
+            [&as_run, &cache, start](int result_fd) {
                 setLogContext(as_run.id());
                 if (injectKindIsProcessGrade(as_run.inject_kind))
                     executeProcessFault(as_run.inject_kind,
                                         as_run.inject_arg);
-                SimResult r = simulate(as_run, cache);
+                SimResult r = start ? simulate(as_run, cache, *start)
+                                    : simulate(as_run, cache);
                 std::string line = resultToJson(r) + "\n";
                 return Subprocess::writeAll(result_fd, line) ? 0 : 83;
             },
@@ -171,7 +172,7 @@ CellSupervisor::runCell(const RunPoint &point)
         // remain; the backoff gives a transiently overloaded host
         // (OOM killer, load spike) room to recover.
         if (attempt < opts_.retries) {
-            uint64_t delay = opts_.backoff_ms << attempt;
+            uint64_t delay = opts_.backoffMs(attempt);
             warn(point.id() + ": cell process died (" +
                  out.status.describe() +
                  (out.timed_out ? ", deadline expired" : "") +

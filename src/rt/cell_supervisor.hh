@@ -61,9 +61,12 @@ class CellSupervisor
      * throws for anything the child does; fatal() only on parent-side
      * syscall failure. The parent must have prebuilt the point's
      * workload artifact if other threads share the cache (fork
-     * safety; see SweepRunner's process mode).
+     * safety; see SweepRunner's process mode). With @p start, the
+     * child runs from that copy of a sweep's post-prefix start, which
+     * it inherits across the fork; without, it runs its own prefix.
      */
-    CellOutcome runCell(const RunPoint &point);
+    CellOutcome runCell(const RunPoint &point,
+                        const RunStart *start = nullptr);
 
   private:
     CellOptions opts_;

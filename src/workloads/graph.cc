@@ -91,10 +91,53 @@ makeUniform(uint64_t nodes, uint64_t edges, uint64_t seed)
     return fromEdgeList(nodes, el);
 }
 
+namespace
+{
+
+/** The node count @p input's RMAT generator runs over at @p nodes: KR
+ *  and LJN use nodes, ORK nodes/4 and TW nodes/2 (2 when that is 0).
+ *  0 for UR, which is not an RMAT graph. */
+uint64_t
+rmatNodes(GraphInput input, uint64_t nodes)
+{
+    switch (input) {
+      case GraphInput::Kron:
+      case GraphInput::Ljn: return nodes;
+      case GraphInput::Ork: return nodes / 4 ? nodes / 4 : 2;
+      case GraphInput::Tw: return nodes / 2 ? nodes / 2 : 2;
+      case GraphInput::Ur: return 0;
+    }
+    panic("unknown graph input");
+}
+
+} // namespace
+
+void
+GraphScale::validate(GraphInput input) const
+{
+    if (nodes < 1 || nodes > MAX_NODES)
+        fatal("gscale.nodes (--nodes) must be in [1, " +
+              std::to_string(MAX_NODES) + "], got " +
+              std::to_string(nodes));
+    if (avg_degree > MAX_DEGREE)
+        fatal("gscale.avg_degree (--degree) must be in [0, " +
+              std::to_string(MAX_DEGREE) + "], got " +
+              std::to_string(avg_degree));
+    if (input == GraphInput::Ur)
+        return;
+    const uint64_t r = rmatNodes(input, nodes);
+    if (r < 2 || (r & (r - 1)) != 0)
+        fatal("gscale.nodes (--nodes) " + std::to_string(nodes) +
+              " does not fit the " + graphInputName(input) +
+              " input: its RMAT graph needs a power-of-two node count "
+              "of at least 2 (KR and LJN use nodes, ORK nodes/4, TW "
+              "nodes/2), got " + std::to_string(r));
+}
+
 Graph
 makeGraph(GraphInput input, const GraphScale &scale)
 {
-    const uint64_t n = scale.nodes;
+    const uint64_t n = rmatNodes(input, scale.nodes);
     const uint64_t m = scale.nodes * scale.avg_degree;
     switch (input) {
       case GraphInput::Kron:
@@ -106,14 +149,12 @@ makeGraph(GraphInput input, const GraphScale &scale)
                         scale.seed + 1);
       case GraphInput::Ork:
         // Dense community graph (Orkut: 3.1M nodes, 1.9B edges).
-        return makeRmat(n / 4 ? n / 4 : 2, m, 0.45, 0.22, 0.22,
-                        scale.seed + 2);
+        return makeRmat(n, m, 0.45, 0.22, 0.22, scale.seed + 2);
       case GraphInput::Tw:
         // Twitter: extreme skew, dense.
-        return makeRmat(n / 2 ? n / 2 : 2, m, 0.62, 0.18, 0.18,
-                        scale.seed + 3);
+        return makeRmat(n, m, 0.62, 0.18, 0.18, scale.seed + 3);
       case GraphInput::Ur:
-        return makeUniform(n, m, scale.seed + 4);
+        return makeUniform(scale.nodes, m, scale.seed + 4);
     }
     panic("unknown graph input");
 }

@@ -49,6 +49,17 @@ struct GraphScale
     uint64_t nodes = 1 << 15;
     uint64_t avg_degree = 16;
     uint64_t seed = 42;
+
+    static constexpr uint64_t MAX_NODES = 1ull << 32;
+    static constexpr uint64_t MAX_DEGREE = 1ull << 16;
+
+    /**
+     * fatal() unless @p input can be generated at this scale: nodes
+     * in [1, MAX_NODES], avg_degree at most MAX_DEGREE, and for an
+     * RMAT input a power-of-two rmatNodes() of at least 2. The
+     * message names the key and the bound.
+     */
+    void validate(GraphInput input) const;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "workloads/workload.hh"
 
+#include <algorithm>
+
 #include "workloads/graph_io.hh"
 
 #include "sim/logging.hh"
@@ -54,6 +56,22 @@ gapBuilder(const std::string &kernel)
 
 } // namespace
 
+void
+HpcDbScale::validate(const std::string &spec) const
+{
+    if (elements < MIN_ELEMENTS || elements > MAX_ELEMENTS)
+        fatal("hscale.elements (--elems) must be in [" +
+              std::to_string(MIN_ELEMENTS) + ", " +
+              std::to_string(MAX_ELEMENTS) + "], got " +
+              std::to_string(elements));
+    if (spec == "graph500" && elements > 4096 &&
+        (elements & (elements - 1)) != 0)
+        fatal("hscale.elements (--elems) " + std::to_string(elements) +
+              " does not fit graph500: its RMAT graph has max(4096, "
+              "elements) nodes, so elements above 4096 must be a "
+              "power of two");
+}
+
 Workload
 makeWorkload(const std::string &spec, const GraphScale &gscale,
              const HpcDbScale &hscale)
@@ -70,8 +88,13 @@ makeWorkload(const std::string &spec, const GraphScale &gscale,
         }
         GraphInput input = parseInput(rest);
         GapBuilder build = gapBuilder(kernel);
+        gscale.validate(input);
         return build(makeGraph(input, gscale), spec, gscale.seed);
     }
+    const std::vector<std::string> &names = hpcDbNames();
+    if (spec == "camel-swpf" ||
+        std::find(names.begin(), names.end(), spec) != names.end())
+        hscale.validate(spec);
     if (spec == "camel") return makeCamel(hscale);
     if (spec == "camel-swpf") return makeCamelSwPf(hscale);
     if (spec == "graph500") return makeGraph500(hscale);

@@ -76,6 +76,19 @@ struct HpcDbScale
 {
     uint64_t elements = 1 << 17;   //!< main table / key count
     uint64_t seed = 7;
+
+    static constexpr uint64_t MIN_ELEMENTS = 2;
+    static constexpr uint64_t MAX_ELEMENTS = 1ull << 32;
+
+    /**
+     * fatal() unless the hpc-db workload @p spec builds at this scale:
+     * elements in [MIN_ELEMENTS, MAX_ELEMENTS] (hj2/hj8 draw keys
+     * below elements, nas-is buckets below elements/2), and for
+     * graph500, whose RMAT graph has max(4096, elements) nodes, a
+     * power of two above 4096. The message names the key and the
+     * bound.
+     */
+    void validate(const std::string &spec) const;
 };
 
 // --- GAP kernels (graph analytics), over a synthetic graph

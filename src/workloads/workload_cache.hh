@@ -3,9 +3,10 @@
  * Workload build artifact cache: splits workload construction into an
  * immutable build product (µop program + pristine memory image +
  * initial registers) built once per spec+scale, and a cheap per-run
- * instantiation that copies the image so stores cannot leak between
- * runs. A full figure sweep builds each benchmark input once instead
- * of once per grid point.
+ * instantiation whose image shares the artifact's pages copy-on-write
+ * (isa/memory_image.hh), so stores cannot leak between runs. A full
+ * figure sweep builds each benchmark input once instead of once per
+ * grid point.
  *
  * Thread-safe: concurrent first requests for the same key build the
  * artifact exactly once (the losers block on the builder's future),
@@ -43,9 +44,10 @@ class WorkloadCache
              const HpcDbScale &hscale = {});
 
     /**
-     * A private, runnable copy of the artifact: the returned Workload
-     * owns its memory image, so stores during simulation never touch
-     * the pristine artifact or any sibling run.
+     * A runnable copy of the artifact. Its image shares the
+     * artifact's pages until it writes them, so stores during
+     * simulation never touch the pristine artifact or any sibling
+     * run.
      */
     Workload instantiate(const std::string &spec,
                          const GraphScale &gscale = {},

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the experiment-plan layer: RunPlan grid enumeration and
- * point IDs, ResultTable lookup, and the SweepRunner's determinism
+ * point IDs, ResultTable lookup, the SweepRunner's determinism
  * (identical tables at any job count) and fault isolation (a failing
- * point cannot poison its siblings).
+ * point cannot poison its siblings), and the post-prefix starts a
+ * sweep shares between its points.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "driver/repro.hh"
 #include "driver/sweep_runner.hh"
 
 namespace vrsim
@@ -40,6 +42,194 @@ sweep(const RunPlan &plan, unsigned jobs, WorkloadCache &cache)
     opts.progress = false;
     opts.cache = &cache;
     return SweepRunner(opts).run(plan);
+}
+
+const std::vector<TechColumn> ALL_TECHNIQUES = {
+    Technique::OoO, Technique::Pre, Technique::Imp, Technique::Vr,
+    Technique::DvrOffload, Technique::DvrDiscovery, Technique::Dvr,
+    Technique::Oracle};
+
+/** Every technique over camel after a 20K-instruction --ff-insts
+ *  prefix, then a plain ROI or, with @p sampled, SMARTS periods;
+ *  every point collects a digest. */
+RunPlan
+prefixPlan(bool sampled, uint64_t ff_insts = 20'000)
+{
+    HpcDbScale h;
+    h.elements = 1 << 12;
+    SystemConfig cfg = SystemConfig::benchScale();
+    cfg.collect_digest = true;
+    cfg.digest_interval = 2048;
+    SamplingPlan sp;
+    sp.ff_insts = ff_insts;
+    if (sampled) {
+        sp.period = 2000;
+        sp.detail = 500;
+        sp.warm = 300;
+    }
+    RunPlan plan(cfg);
+    plan.scale({}, h).roi(8000).warmup(sampled ? 0 : 500).sample(sp);
+    plan.add({"camel"}, ALL_TECHNIQUES);
+    return plan;
+}
+
+/** Sweep @p plan and check each row against a private
+ *  simulate(p, cache) run of its point: every statistic other than
+ *  host time, the digest and the sampling summary (resultToJson
+ *  carries no host time). */
+void
+expectRowsEqualPrivateRuns(const RunPlan &plan, unsigned jobs,
+                           Isolation isolation)
+{
+    WorkloadCache cache;
+    SweepOptions opts;
+    opts.jobs = jobs;
+    opts.progress = false;
+    opts.cache = &cache;
+    opts.isolation = isolation;
+    SweepRunner runner(opts);
+    ResultTable table = runner.run(plan);
+    EXPECT_EQ(runner.startBuilds(), 1u);
+    ASSERT_EQ(table.size(), 8u);
+    for (size_t i = 0; i < table.size(); i++) {
+        const RunPoint &p = table.points()[i];
+        const SimResult &row = table.results()[i];
+        ASSERT_TRUE(row.ok()) << p.id() << ": " << row.status_message;
+        ASSERT_TRUE(row.digest && row.sample) << p.id();
+        EXPECT_GE(row.sample->ff_insts, p.sampling.ff_insts) << p.id();
+        EXPECT_EQ(resultToJson(row), resultToJson(simulate(p, cache)))
+            << p.id();
+    }
+}
+
+TEST(SweepStartsTest, PrefixRowsEqualPrivateRuns)
+{
+    expectRowsEqualPrivateRuns(prefixPlan(false), 1, Isolation::Thread);
+    expectRowsEqualPrivateRuns(prefixPlan(false), 4, Isolation::Thread);
+}
+
+TEST(SweepStartsTest, SampledRowsEqualPrivateRuns)
+{
+    expectRowsEqualPrivateRuns(prefixPlan(true), 1, Isolation::Thread);
+    expectRowsEqualPrivateRuns(prefixPlan(true), 4, Isolation::Thread);
+}
+
+TEST(SweepStartsTest, ProcessIsolationRowsEqualPrivateRuns)
+{
+    expectRowsEqualPrivateRuns(prefixPlan(false), 4, Isolation::Process);
+    expectRowsEqualPrivateRuns(prefixPlan(true), 4, Isolation::Process);
+}
+
+TEST(SweepStartsTest, EightColumnsOverOneSpecBuildOneStart)
+{
+    WorkloadCache cache;
+    SweepOptions opts;
+    opts.jobs = 4;
+    opts.progress = false;
+    opts.cache = &cache;
+    SweepRunner runner(opts);
+    runner.run(prefixPlan(false));
+    EXPECT_EQ(runner.startBuilds(), 1u);
+    EXPECT_EQ(cache.builds(), 1u);
+    // A second sweep builds its own start from the cached artifact.
+    runner.run(prefixPlan(false));
+    EXPECT_EQ(runner.startBuilds(), 1u);
+    EXPECT_EQ(cache.builds(), 1u);
+}
+
+TEST(SweepStartsTest, DivergeInjectionGetsItsOwnStart)
+{
+    // Diverge turns digest collection on inside the run, so its
+    // prefix must hash and cannot share the others' start.
+    RunPlan plan(SystemConfig::benchScale());
+    HpcDbScale h;
+    h.elements = 1 << 12;
+    plan.scale({}, h).roi(4000).ffInsts(20'000);
+    plan.add({"camel"}, {Technique::OoO, Technique::Vr, Technique::Dvr});
+    plan.injectFail(Technique::Vr, InjectKind::Diverge);
+    WorkloadCache cache;
+    SweepOptions opts;
+    opts.progress = false;
+    opts.cache = &cache;
+    SweepRunner runner(opts);
+    ResultTable table = runner.run(plan);
+    EXPECT_EQ(runner.startBuilds(), 2u);
+    for (size_t i = 0; i < table.size(); i++)
+        EXPECT_EQ(resultToJson(table.results()[i]),
+                  resultToJson(simulate(table.points()[i], cache)))
+            << table.points()[i].id();
+}
+
+TEST(SweepStartsTest, PrefixHostTimeIsChargedToTheFirstPoint)
+{
+    WorkloadCache cache;
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.cache = &cache;
+    ResultTable table = SweepRunner(opts).run(prefixPlan(false));
+    ASSERT_EQ(table.size(), 8u);
+    EXPECT_GT(table.results()[0].host_ff_seconds, 0.0);
+    EXPECT_GE(table.results()[0].host_seconds,
+              table.results()[0].host_ff_seconds);
+    for (size_t i = 1; i < table.size(); i++) {
+        EXPECT_EQ(table.results()[i].host_ff_seconds, 0.0) << i;
+        // Every point still counts the prefix it started from.
+        EXPECT_EQ(table.results()[i].sample->ff_insts, 20'000u) << i;
+    }
+}
+
+TEST(SweepStartsTest, HaltingPrefixFailsEveryPoint)
+{
+    // camel at 4096 elements halts after 118785 instructions.
+    const RunPlan plan = prefixPlan(false, 1'000'000);
+    const std::string msg =
+        "workload halted after 118785 instructions, inside the "
+        "--ff-insts 1000000 prefix";
+    for (unsigned jobs : {1u, 4u}) {
+        WorkloadCache cache;
+        SweepOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        opts.cache = &cache;
+        SweepRunner runner(opts);
+        ResultTable table = runner.run(plan);
+        EXPECT_EQ(runner.startBuilds(), 1u);
+        ASSERT_EQ(table.failures(), 8u);
+        for (size_t i = 0; i < table.size(); i++) {
+            const SimResult &r = table.results()[i];
+            EXPECT_EQ(r.status, SimStatus::Fatal);
+            EXPECT_NE(r.status_message.find(msg), std::string::npos)
+                << r.status_message;
+            // A sweep tags each point's messages with its ID.
+            setLogContext(table.points()[i].id());
+            SimResult alone = simulate(table.points()[i], cache);
+            setLogContext("");
+            EXPECT_EQ(resultToJson(r), resultToJson(alone));
+        }
+    }
+}
+
+TEST(SweepStartsTest, PointChecksComeBeforeTheSharedPrefixFailure)
+{
+    // A point's own bad sampling plan outranks its halting prefix,
+    // whether the prefix is private or shared.
+    RunPlan plan = prefixPlan(false, 1'000'000);
+    std::vector<RunPoint> points = plan.points();
+    RunPoint bad = points.at(1);
+    bad.sampling.detail = 5;  // detail windows without a period
+    WorkloadCache cache;
+    SimResult alone = simulate(bad, cache);
+    EXPECT_EQ(alone.status, SimStatus::Fatal);
+    EXPECT_NE(alone.status_message.find("no period"), std::string::npos)
+        << alone.status_message;
+    SweepStarts starts(points, std::vector<char>(points.size(), 0), cache,
+                       1);
+    std::optional<RunStart> from = starts.take(1);
+    ASSERT_TRUE(from);
+    EXPECT_LT(from->ff_insts, 1'000'000u);
+    SimResult shared = simulate(bad, cache, std::move(*from));
+    EXPECT_EQ(resultToJson(shared), resultToJson(alone));
 }
 
 TEST(RunPlanTest, GridEnumerationOrderAndIds)

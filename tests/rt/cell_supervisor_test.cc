@@ -114,6 +114,28 @@ TEST(ChaosPolicyTest, AttemptsDrawIndependently)
     EXPECT_TRUE(saw_transient);
 }
 
+// ---- CellOptions --------------------------------------------------
+
+TEST(CellOptionsTest, BackoffDoublesThenSaturates)
+{
+    CellOptions o;
+    o.backoff_ms = 100;
+    EXPECT_EQ(o.backoffMs(0), 100u);
+    EXPECT_EQ(o.backoffMs(3), 800u);
+    EXPECT_EQ(o.backoffMs(15), 3'276'800u);
+    EXPECT_EQ(o.backoffMs(16), CellOptions::MAX_BACKOFF_MS);
+    // Past the shift width the doubling used to wrap (undefined).
+    o.backoff_ms = 1;
+    EXPECT_EQ(o.backoffMs(63), CellOptions::MAX_BACKOFF_MS);
+    EXPECT_EQ(o.backoffMs(64), CellOptions::MAX_BACKOFF_MS);
+    EXPECT_EQ(o.backoffMs(CellOptions::MAX_RETRIES),
+              CellOptions::MAX_BACKOFF_MS);
+    o.backoff_ms = UINT64_MAX;
+    EXPECT_EQ(o.backoffMs(0), CellOptions::MAX_BACKOFF_MS);
+    o.backoff_ms = 0;
+    EXPECT_EQ(o.backoffMs(100), 0u);
+}
+
 // ---- CellSupervisor -----------------------------------------------
 
 RunPoint

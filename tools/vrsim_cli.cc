@@ -53,14 +53,16 @@
  *                         instead of killing the sweep
  *     --cell-timeout S    per-cell wall-clock deadline in seconds
  *                         (SIGKILL on expiry; process isolation)
- *     --cell-mem-mb N     per-cell RLIMIT_AS cap in MiB (process
- *                         isolation; do not combine with ASan)
+ *     --cell-mem-mb N     per-cell RLIMIT_AS cap in MiB, at most
+ *                         16777216 (process isolation; do not
+ *                         combine with ASan)
  *     --cell-cpu-s N      per-cell RLIMIT_CPU cap in seconds
  *     --retries N         re-run a cell after a process-grade death
- *                         up to N times (exponential backoff);
- *                         in-taxonomy failures are never retried
- *     --backoff-ms N      first retry delay, doubling per retry
- *                         (default 100)
+ *                         up to N times, N <= 100 (exponential
+ *                         backoff); in-taxonomy failures are never
+ *                         retried
+ *     --backoff-ms N      first retry delay, doubling per retry up to
+ *                         one hour (default 100)
  *     --chaos SEED:RATE   chaos harness: randomly inject process-
  *                         grade faults into cells with probability
  *                         RATE per attempt (requires --isolation
@@ -150,6 +152,19 @@ cellTimeoutMs(const std::string &flag, const char *s)
         fatal(flag + " must be a number of seconds in [0, 1000000] "
               "(0 = no deadline), got '" + s + "'");
     return uint64_t(std::ceil(secs * 1000.0));
+}
+
+/** An integer flag value in [0, @p max]; fatal() naming the flag and
+ *  the bound otherwise, so a huge value cannot wrap into a small one. */
+uint64_t
+parseAtMost(const std::string &flag, const char *s, uint64_t max,
+            const std::string &unit = "")
+{
+    uint64_t v = parseU64(flag, s);
+    if (v > max)
+        fatal(flag + " must be in [0, " + std::to_string(max) + "]" +
+              unit + ", got '" + s + "'");
+    return v;
 }
 
 Format
@@ -316,11 +331,14 @@ main(int argc, char **argv)
             else if (a == "--cell-timeout")
                 opts.cell.timeout_ms = cellTimeoutMs(a, need(i));
             else if (a == "--cell-mem-mb")
-                opts.cell.mem_mb = parseU64(a, need(i));
+                opts.cell.mem_mb = parseAtMost(a, need(i),
+                                               CellOptions::MAX_MEM_MB,
+                                               " MiB");
             else if (a == "--cell-cpu-s")
                 opts.cell.cpu_s = parseU64(a, need(i));
             else if (a == "--retries")
-                opts.cell.retries = unsigned(parseU64(a, need(i)));
+                opts.cell.retries = unsigned(parseAtMost(
+                    a, need(i), CellOptions::MAX_RETRIES));
             else if (a == "--backoff-ms")
                 opts.cell.backoff_ms = parseU64(a, need(i));
             else if (a == "--chaos")
